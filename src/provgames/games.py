@@ -18,6 +18,7 @@ from .errors import (
 from .infinity import INF, ext_le
 
 TERMINAL = "terminal"
+_UNKNOWN = object()  # topological order not computed yet
 
 
 class GameGraph:
@@ -38,6 +39,7 @@ class GameGraph:
         self._succ = {v: [] for v in self.owners}
         for u, v in self.moves:
             self._succ[u].append(v)
+        self._order = _UNKNOWN
 
     @property
     def positions(self):
@@ -67,27 +69,38 @@ class GameGraph:
                 raise MalformedGame(f"position {v!r} has bad owner tag {o!r}")
 
     def topological_order(self):
-        """Reverse-dependency order (successors first); None if cyclic."""
-        state = {}
+        """Reverse-dependency order (successors first); None if cyclic.
+
+        The order of a depth-first search from each position in turn; moves
+        are fixed at construction, so it is computed once per graph.
+        """
+        if self._order is _UNKNOWN:
+            self._order = self._depth_first_order()
+        return None if self._order is None else list(self._order)
+
+    def _depth_first_order(self):
+        done = set()
+        active = set()
         order = []
-
-        def visit(v):
-            mark = state.get(v)
-            if mark == "done":
-                return True
-            if mark == "active":
-                return False
-            state[v] = "active"
-            for w in self._succ[v]:
-                if not visit(w):
-                    return False
-            state[v] = "done"
-            order.append(v)
-            return True
-
-        for v in self.owners:
-            if not visit(v):
-                return None
+        for root in self.owners:
+            if root in done:
+                continue
+            active.add(root)
+            stack = [(root, iter(self._succ[root]))]
+            while stack:
+                v, successors = stack[-1]
+                for w in successors:
+                    if w in active:
+                        return None
+                    if w not in done:
+                        active.add(w)
+                        stack.append((w, iter(self._succ[w])))
+                        break
+                else:
+                    stack.pop()
+                    active.discard(v)
+                    done.add(v)
+                    order.append(v)
         return order
 
     def is_acyclic(self):

@@ -112,13 +112,24 @@ def fixpoint_relations(formula):
 # --- parser -----------------------------------------------------------------
 
 
+#: Deepest formula nesting the parser accepts.  Every parenthesis, negation,
+#: quantifier, fixed point and binary connective adds a level.  The parser,
+#: `to_nnf`, `free_variables`, `build_mc_game` and the evaluators recurse once
+#: or a few times per level, and at this depth stay well inside Python's
+#: default recursion limit.
+MAX_FORMULA_DEPTH = 100
+
+
 class _FormulaParser:
     """Recursive-descent parser; `!` binds tighter than `&` than `|`, and a
-    quantifier or fixed-point body extends as far right as possible."""
+    quantifier or fixed-point body extends as far right as possible.
+
+    Each parsing method returns the formula with its nesting depth."""
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.open = 0  # nesting levels entered and not yet left
 
     def error(self, message):
         raise FormulaSyntaxError(message, self.pos)
@@ -153,42 +164,61 @@ class _FormulaParser:
             self.error("expected identifier")
         return self.text[start:self.pos]
 
+    def level(self, depth):
+        """Return a node's nesting depth; raise if it exceeds the limit."""
+        if depth > MAX_FORMULA_DEPTH:
+            self.error(f"formula nested more than {MAX_FORMULA_DEPTH} levels deep")
+        return depth
+
+    def nested(self, parse):
+        """Parse one level further in; returns the sub-formula and the depth
+        of the node around it.  The level is checked on the way in, so that
+        the parser's own recursion is bounded too."""
+        self.open = self.level(self.open + 1)
+        f, depth = parse()
+        self.open -= 1
+        return f, self.level(depth + 1)
+
     def parse(self):
-        f = self.disjunction()
+        f, _ = self.disjunction()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
         return f
 
     def disjunction(self):
-        f = self.conjunction()
+        f, depth = self.conjunction()
         while self.eat("|"):
-            f = Or(f, self.conjunction())
-        return f
+            g, d = self.conjunction()
+            f, depth = Or(f, g), self.level(max(depth, d) + 1)
+        return f, depth
 
     def conjunction(self):
-        f = self.unary()
+        f, depth = self.unary()
         while self.eat("&"):
-            f = And(f, self.unary())
-        return f
+            g, d = self.unary()
+            f, depth = And(f, g), self.level(max(depth, d) + 1)
+        return f, depth
 
     def unary(self):
         if self.eat("!"):
-            return Not(self.unary())
+            f, depth = self.nested(self.unary)
+            return Not(f), depth
         self.skip_ws()
         for kind in ("exists", "forall"):
             if self._keyword(kind):
                 var = self.ident()
                 self.expect(".")
-                return Quant(kind, var, self.disjunction())
+                f, depth = self.nested(self.disjunction)
+                return Quant(kind, var, f), depth
         if self.peek() == "(":
             self.expect("(")
-            f = self.disjunction()
+            f, depth = self.nested(self.disjunction)
             self.expect(")")
-            return f
+            return f, depth
         if self.peek() == "[":
             return self.fixpoint()
-        return self.atomic()
+        return self.atomic(), 0
 
     def _keyword(self, word):
         self.skip_ws()
@@ -209,7 +239,7 @@ class _FormulaParser:
         rel = self.ident()
         params = self.term_list()
         self.expect(".")
-        body = self.disjunction()
+        body, depth = self.nested(self.disjunction)
         self.expect("]")
         args = self.term_list()
         if len(args) != len(params):
@@ -217,12 +247,7 @@ class _FormulaParser:
                 f"fixed-point relation {rel} bound with {len(params)} parameters "
                 f"but applied to {len(args)} arguments"
             )
-        extra = free_variables(body, frozenset(params)) - set(params)
-        # Parameter-freeness cannot be fully decided without the universe,
-        # but quantified variables leaking into the body are caught later
-        # (at instantiation); nothing to do here.
-        del extra
-        return Fp(kind, rel, tuple(params), body, tuple(args))
+        return Fp(kind, rel, tuple(params), body, tuple(args)), depth
 
     def term_list(self):
         self.expect("(")

@@ -4,9 +4,16 @@ A monomial maps tokens to exponents; absent tokens have exponent 0.  The
 absorption order follows the convention that smaller exponents absorb:
 m1 is below m2 exactly when m1 has pointwise *larger* exponents.  Negative
 tokens of a dual pair are written with a leading '~'.
+
+Antichains are normalized in one pass thanks to the rank of a monomial, the
+pair (number of INF exponents, sum of the finite exponents).  If m2 absorbs
+m, every INF exponent of m2 is one of m's and every finite one is at most
+m's, so m2 ranks no higher than m, and equal ranks mean m2 == m.  Visiting
+a pool in rank order therefore meets every monomial after all monomials
+that strictly absorb it.
 """
 
-from .infinity import INF, ext_add, ext_le
+from .infinity import INF, ext_add
 
 NEG_PREFIX = "~"
 
@@ -18,14 +25,10 @@ def negate_token(token):
     return NEG_PREFIX + token
 
 
-def base_token(token):
-    return token[len(NEG_PREFIX):] if token.startswith(NEG_PREFIX) else token
-
-
 class Monomial:
     """Immutable product of token powers; exponents are ints >= 1 or INF."""
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=()):
         if isinstance(exps, dict):
@@ -35,6 +38,7 @@ class Monomial:
             if e is not INF and (not isinstance(e, int) or e < 0):
                 raise ValueError(f"bad exponent {e!r}")
         object.__setattr__(self, "exps", cleaned)
+        object.__setattr__(self, "_hash", hash(cleaned))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -43,7 +47,7 @@ class Monomial:
         return isinstance(other, Monomial) and self.exps == other.exps
 
     def __hash__(self):
-        return hash(self.exps)
+        return self._hash
 
     def __iter__(self):
         return iter(self.exps)
@@ -69,9 +73,17 @@ class Monomial:
         return total
 
     def mul(self, other):
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
         merged = dict(self.exps)
         for t, e in other.exps:
-            merged[t] = ext_add(merged.get(t, 0), e)
+            f = merged.get(t)
+            if f is None:
+                merged[t] = e
+            else:
+                merged[t] = INF if e is INF or f is INF else e + f
         return Monomial(merged)
 
     def has_complementary_pair(self):
@@ -97,24 +109,46 @@ ONE_MONOMIAL = Monomial()
 
 def mono_absorbs(m1, m2):
     """True iff m2 absorbs m1, i.e. m2 has pointwise <= exponents (m1 <= m2)."""
-    m1_exps = dict(m1.exps)
+    # Both exps tuples are sorted by token: walk them together.  Every token
+    # of m2 has exponent >= 1, so it must occur in m1 as well.
+    big = m1.exps
+    n = len(big)
+    if len(m2.exps) > n:
+        return False
+    i = 0
     for t, e in m2.exps:
-        if not ext_le(e, m1_exps.get(t, 0)):
+        while i < n and big[i][0] < t:
+            i += 1
+        if i == n or big[i][0] != t:
+            return False
+        f = big[i][1]
+        if f is not INF and (e is INF or e > f):
             return False
     return True
 
 
+def _rank(m):
+    infs = 0
+    total = 0
+    for _, e in m.exps:
+        if e is INF:
+            infs += 1
+        else:
+            total += e
+    return infs, total
+
+
 def normalize_antichain(monomials):
-    """Keep only the absorption-maximal monomials of the given collection."""
-    pool = list(dict.fromkeys(monomials))
+    """Keep only the absorption-maximal monomials of the given collection.
+
+    The result is a list in rank order (see the module docstring): a
+    monomial is dropped exactly when a monomial kept before it absorbs it.
+    """
     keep = []
-    for m in pool:
-        if any(m2 is not m and mono_absorbs(m, m2) and not mono_absorbs(m2, m) for m2 in pool):
-            continue
-        if any(m == k for k in keep):
-            continue
-        keep.append(m)
-    return set(keep)
+    for m in sorted(dict.fromkeys(monomials), key=_rank):
+        if not any(mono_absorbs(m, k) for k in keep):
+            keep.append(m)
+    return keep
 
 
 def _degree_sort_key(m):

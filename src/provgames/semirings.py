@@ -16,6 +16,7 @@ from .errors import (
     VariantMismatch,
 )
 from .infinity import INF, ext_add, ext_le
+from .monomials import mono_absorbs
 from .poly import (
     BOOLPOLY,
     DUALNAT,
@@ -529,6 +530,13 @@ class PolySemiring(Semiring):
     def leq(self, a, b):
         if self.kind.coefficients:
             return all(ext_le(c, b.coefficient(m)) for m, c in a.monos.items())
+        if self.kind.antichain:
+            # a and b are antichains, so a + b == b exactly when some
+            # monomial of b absorbs each monomial of a.
+            a._check_kind(b)
+            return all(
+                m in b.monos or any(mono_absorbs(m, n) for n in b.monos) for m in a.monos
+            )
         return (a + b) == b
 
     def times(self, n, a):

@@ -9,7 +9,7 @@ settled are never touched), and finally verify the result by one exact
 application of the system.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoConvergence, NotFullyOmegaContinuous, ProvError
 from .poly import Polynomial

@@ -3,6 +3,7 @@
 import pytest
 
 from provgames.cli import main
+from provgames.logic import MAX_FORMULA_DEPTH
 from provgames.poly import parse_poly
 from provgames.semirings import get_semiring
 
@@ -195,6 +196,46 @@ def test_exit_parse_on_bad_formula(capsys, tmp_path):
     code, _, err = run(capsys, "eval-formula", "R(a) | |", str(interp),
                        "--inline", "--semiring", "bool")
     assert code == 2
+
+
+def _nested_formulas(depth):
+    """Formulas nested exactly `depth` levels deep, one per kind of level."""
+    return {
+        "parentheses": "(" * depth + "E(a,a)" + ")" * depth,
+        "negations": "!" * depth + "E(a,a)",
+        "quantifiers": "".join(f"exists x{i}. " for i in range(depth)) + "E(a,a)",
+        "conjunctions": " & ".join(["E(a,a)"] * (depth + 1)),
+    }
+
+
+@pytest.mark.parametrize("shape,value", [
+    ("parentheses", "p"), ("negations", "p"), ("quantifiers", "p"),
+    ("conjunctions", f"p^{MAX_FORMULA_DEPTH + 1}"),
+])
+def test_formula_depth_limit(capsys, tmp_path, shape, value):
+    interp = tmp_path / "pi.interp"
+    interp.write_text("universe a\nE(a,a) = p\n!E(a,a) = ~p\n")
+    at_limit = _nested_formulas(MAX_FORMULA_DEPTH)[shape]
+    for mode in ("game", "compositional", "direct"):
+        code, out, _ = run(capsys, "eval-formula", at_limit, str(interp), "--inline",
+                           "--semiring", "sorpinfdual", "--mode", mode)
+        assert (code, out) == (0, f"value: {value}\n")
+    for depth in (MAX_FORMULA_DEPTH + 1, 1200):
+        code, out, err = run(capsys, "eval-formula", _nested_formulas(depth)[shape],
+                             str(interp), "--inline", "--semiring", "sorpinfdual")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: formula nested more than") and err.count("\n") == 1
+
+
+def test_eval_game_on_long_chain(capsys, tmp_path):
+    n = 1200
+    lines = [f"position v{i} player{i % 2}" for i in range(n)] + ["position t terminal"]
+    lines += [f"move v{i} v{i + 1}" for i in range(n - 1)] + [f"move v{n - 1} t"]
+    path = tmp_path / "chain.game"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "eval-game", str(path), "--semiring", "sorpinf")
+    assert code == 0
+    assert sorted(out.splitlines()) == sorted(f"v{i}: t" for i in range(n))
 
 
 def test_exit_semantic_on_bad_census_root(capsys):

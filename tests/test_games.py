@@ -26,7 +26,7 @@ from provgames.infinity import INF
 from provgames.semirings import get_semiring
 from provgames.solver import solve_game
 
-from genutil import make_rng, random_acyclic_game, token_valuation
+from genutil import make_rng, random_acyclic_game, random_cyclic_game, token_valuation
 
 NATPOLY = get_semiring("natpoly")
 
@@ -50,6 +50,51 @@ def test_validate_game_reports():
     report = validate_game(g)
     assert report == {"positions": 6, "moves": 6, "acyclic": True, "unreachable": []}
     assert not validate_game(reach_game())["acyclic"]
+
+
+def recursive_topological_order(game):
+    """Recursive depth-first reference for GameGraph.topological_order."""
+    state, order = {}, []
+
+    def visit(v):
+        if state.get(v) == "done":
+            return True
+        if state.get(v) == "active":
+            return False
+        state[v] = "active"
+        if not all(visit(w) for w in game.successors(v)):
+            return False
+        state[v] = "done"
+        order.append(v)
+        return True
+
+    return order if all(visit(v) for v in game.owners) else None
+
+
+def test_topological_order_matches_recursive_dfs():
+    rng = make_rng(salt=11)
+    games = [random_acyclic_game(rng, max_positions=16) for _ in range(150)]
+    games += [random_cyclic_game(rng, max_positions=10) for _ in range(150)]
+    assert any(g.is_acyclic() for g in games[150:])
+    assert any(not g.is_acyclic() for g in games[150:])
+    for g in games:
+        expected = recursive_topological_order(g)
+        order = g.topological_order()
+        assert order == expected
+        if order is not None:
+            order.reverse()  # callers get a copy of the cached order
+        assert g.topological_order() == expected
+
+
+def test_topological_order_of_long_chain():
+    n = 5000
+    owners = {f"v{i}": i % 2 for i in range(n)}
+    owners["t"] = TERMINAL
+    moves = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)] + [(f"v{n - 1}", "t")]
+    order = GameGraph(owners, moves).topological_order()
+    assert order == ["t"] + [f"v{i}" for i in reversed(range(n))]
+    cyclic = GameGraph(owners, moves + [(f"v{n - 1}", "v0")])
+    assert cyclic.topological_order() is None
 
 
 def test_malformed_games_rejected():

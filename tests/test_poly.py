@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provgames.errors import DualityViolated, IllegalProjection, KindMismatch
-from provgames.infinity import INF
-from provgames.monomials import Monomial, mono_absorbs, normalize_antichain
+from provgames.infinity import INF, ext_add, ext_le
+from provgames.monomials import ONE_MONOMIAL, Monomial, mono_absorbs, normalize_antichain
 from provgames.poly import (
     BOOLPOLY,
     DUALNAT,
@@ -16,6 +16,7 @@ from provgames.poly import (
     POSBOOL,
     SORP,
     SORPINF,
+    SORPINFDUAL,
     Polynomial,
     format_poly,
     parse_poly,
@@ -24,7 +25,7 @@ from provgames.poly import (
     specialize,
     trunc_kind,
 )
-from provgames.semirings import get_semiring
+from provgames.semirings import PolySemiring, get_semiring
 
 TOKENS = ("p", "q", "r")
 KINDS = (NATPOLY, BOOLPOLY, SORP, SORPINF, DUALNAT, trunc_kind(5))
@@ -101,6 +102,82 @@ def test_absorption_order_on_monomials():
     kept = normalize_antichain([m_st, m_s2, m_tinf, m_t])
     assert set(kept) == {m_s2, m_t}
     assert set(normalize_antichain([m_st, m_s2, m_tinf])) == {m_st, m_s2, m_tinf}
+
+
+# --- the absorptive kernel against the reference implementations ----------
+
+
+def reference_absorbs(m1, m2):
+    """Dict-based absorption test: m2 has pointwise <= exponents."""
+    m1_exps = dict(m1.exps)
+    return all(ext_le(e, m1_exps.get(t, 0)) for t, e in m2.exps)
+
+
+def reference_antichain(monomials):
+    """Quadratic normalizer: drop each monomial that some member of the pool
+    strictly absorbs."""
+    pool = list(dict.fromkeys(monomials))
+    return {
+        m for m in pool
+        if not any(
+            m2 is not m and reference_absorbs(m, m2) and not reference_absorbs(m2, m)
+            for m2 in pool
+        )
+    }
+
+
+def reference_mul(m1, m2):
+    merged = dict(m1.exps)
+    for t, e in m2.exps:
+        merged[t] = ext_add(merged.get(t, 0), e)
+    return Monomial(merged)
+
+
+MONO_EXPS = st.dictionaries(
+    st.sampled_from(("p", "q", "r", "~p", "~q")),
+    st.one_of(st.integers(min_value=0, max_value=3), st.just(INF)),
+    max_size=4,
+)
+MONOMIALS = MONO_EXPS.map(lambda d: Monomial(d.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MONOMIALS, max_size=14))
+def test_normalize_antichain_matches_reference(pool):
+    kept = normalize_antichain(pool)
+    assert len(kept) == len(set(kept))
+    assert set(kept) == reference_antichain(pool)
+    for m1 in pool:
+        for m2 in pool:
+            assert mono_absorbs(m1, m2) == reference_absorbs(m1, m2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MONO_EXPS, MONO_EXPS)
+def test_monomial_hash_equality_and_mul(d1, d2):
+    m1, m2 = Monomial(d1), Monomial(d2)
+    assert (m1 == m2) == (
+        {t: e for t, e in d1.items() if e != 0} == {t: e for t, e in d2.items() if e != 0}
+    )
+    same = Monomial(list(reversed(list(d1.items()))) + [("s", 0)])
+    assert same == m1 and hash(same) == hash(m1)
+    assert m1.mul(ONE_MONOMIAL) == m1 and ONE_MONOMIAL.mul(m1) == m1
+    product = m1.mul(m2)
+    assert product == reference_mul(m1, m2) == m2.mul(m1)
+    assert hash(product) == hash(reference_mul(m1, m2))
+
+
+@pytest.mark.parametrize("kind", (POSBOOL, SORP, SORPINF, SORPINFDUAL), ids=lambda k: k.name)
+def test_antichain_leq_matches_sum(kind):
+    handle = PolySemiring(kind)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys(kind), polys(kind), polys(kind))
+    def check(a, b, c):
+        for x, y in ((a, b), (b, a), (a, a + c), (a * c, a), (a + b, b), (a, a)):
+            assert handle.leq(x, y) == ((x + y) == y)
+
+    check()
 
 
 def test_sorpinf_absorption_examples():
