@@ -75,7 +75,7 @@ class Fp:
 
 def free_variables(formula, bound=frozenset()):
     if isinstance(formula, Atom):
-        return {a for a in formula.args if a not in bound} - _constantish(formula)
+        return {a for a in formula.args if a not in bound}
     if isinstance(formula, Eq):
         return {a for a in (formula.left, formula.right) if a not in bound}
     if isinstance(formula, Not):
@@ -88,25 +88,6 @@ def free_variables(formula, bound=frozenset()):
         inner = free_variables(formula.body, bound | set(formula.params))
         return inner | {a for a in formula.args if a not in bound}
     raise ProvError(f"unknown formula node {formula!r}")
-
-
-def _constantish(_atom):
-    # Terms are plain identifiers; whether one is a variable or a universe
-    # element is only known at evaluation time, so syntactic free-variable
-    # sets treat every term as potentially free.
-    return set()
-
-
-def fixpoint_relations(formula):
-    if isinstance(formula, (Atom, Eq)):
-        return set()
-    if isinstance(formula, Not):
-        return fixpoint_relations(formula.sub)
-    if isinstance(formula, (And, Or)):
-        return fixpoint_relations(formula.left) | fixpoint_relations(formula.right)
-    if isinstance(formula, Quant):
-        return fixpoint_relations(formula.sub)
-    return {formula.rel} | fixpoint_relations(formula.body)
 
 
 # --- parser -----------------------------------------------------------------
@@ -615,15 +596,20 @@ def build_mc_game(universe, formula):
     terminal_literals = {}
     # binder environment: rel -> (path of binder body, params)
     root = ((), frozenset())
+    # occurrence path -> free terms of the subformula there, which are the
+    # environment entries its subgame can depend on
+    supports = {}
 
-    def env_dict(env):
-        return dict(env)
+    def support(f, path):
+        if path not in supports:
+            supports[path] = free_variables(f)
+        return supports[path]
 
     def build(f, path, env, binders):
         pos = (path, env)
         if pos in owners:
             return pos
-        e = env_dict(env)
+        e = dict(env)
         if isinstance(f, Atom) and f.rel in binders:
             if f.negated:
                 raise NotPosLFP(f"fixed-point relation {f.rel} occurs negatively")
@@ -647,14 +633,14 @@ def build_mc_game(universe, formula):
         if isinstance(f, (And, Or)):
             owners[pos] = 0 if isinstance(f, Or) else 1
             for i, sub in enumerate((f.left, f.right)):
-                relevant = frozenset(
-                    (k, v) for k, v in env if k in _term_support(sub, binders)
-                )
+                keep = support(sub, path + (i,))
+                relevant = frozenset((k, v) for k, v in env if k in keep)
                 child = build(sub, path + (i,), relevant, binders)
                 moves.append((pos, child))
             return pos
         if isinstance(f, Quant):
             owners[pos] = 0 if f.kind == "exists" else 1
+            keep = support(f.sub, path + (0,))
             for a in universe:
                 sub_env = {**e, f.var: a}
                 # Keep the bound variable even when the body ignores it:
@@ -662,7 +648,7 @@ def build_mc_game(universe, formula):
                 # choose between, undercounting in non-idempotent semirings.
                 relevant = frozenset(
                     (k, v) for k, v in sub_env.items()
-                    if k == f.var or k in _term_support(f.sub, binders)
+                    if k == f.var or k in keep
                 )
                 child = build(f.sub, path + (0,), relevant, binders)
                 moves.append((pos, child))
@@ -682,13 +668,6 @@ def build_mc_game(universe, formula):
     build(formula, (), frozenset(), {})
     game = GameGraph(owners, moves)
     return MCGame(game, root, terminal_literals)
-
-
-def _term_support(formula, binders):
-    """Terms that can influence the subgame: free terms, plus the arguments
-    of bound fixed-point relations anywhere below (their instantiation
-    depends on the environment at the atom)."""
-    return free_variables(formula)
 
 
 def game_eval(pi, sentence, player=0, config=None):

@@ -31,12 +31,23 @@ class Monomial:
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=()):
-        if isinstance(exps, dict):
+        pairs = not isinstance(exps, dict)
+        if not pairs:
             exps = exps.items()
         cleaned = tuple(sorted((t, e) for t, e in exps if e != 0))
         for _, e in cleaned:
             if e is not INF and (not isinstance(e, int) or e < 0):
                 raise ValueError(f"bad exponent {e!r}")
+        if pairs:
+            # A token may repeat among pairs (not among dict keys); sorting
+            # made its pairs adjacent, and they multiply: add the exponents.
+            merged = []
+            for t, e in cleaned:
+                if merged and merged[-1][0] == t:
+                    merged[-1] = (t, ext_add(merged[-1][1], e))
+                else:
+                    merged.append((t, e))
+            cleaned = tuple(merged)
         object.__setattr__(self, "exps", cleaned)
         object.__setattr__(self, "_hash", hash(cleaned))
 

@@ -144,7 +144,10 @@ class Polynomial:
         return Polynomial(self.kind, out, self.truncated or other.truncated)
 
     def cap_exponents(self, threshold):
-        """Saturation step: exponents >= threshold become INF."""
+        """Saturation step: exponents >= threshold become INF (no copy when
+        none is that large)."""
+        if not any(e is not INF and e >= threshold for m in self.monos for _, e in m):
+            return self
         return Polynomial(
             self.kind,
             {m.cap_at(threshold): c for m, c in self.monos.items()},
@@ -152,7 +155,10 @@ class Polynomial:
         )
 
     def cap_coefficients(self, threshold):
-        """Saturation step: coefficients >= threshold become INF."""
+        """Saturation step: coefficients >= threshold become INF (no copy when
+        none is that large)."""
+        if not any(c is not INF and c >= threshold for c in self.monos.values()):
+            return self
         return Polynomial(
             self.kind,
             {m: (INF if (c is INF or c >= threshold) else c) for m, c in self.monos.items()},

@@ -7,6 +7,17 @@ iterating while capping runaway values after every step (the capping is
 applied only to variables that are still moving, so values that already
 settled are never touched), and finally verify the result by one exact
 application of the system.
+
+Each step is a Jacobi step: every equation is applied to the previous
+iterate.  A right-hand side is a function of its dependencies' values
+alone, so when none of them changed since the step before, its value is
+the one that step produced and is reused instead of evaluated again.
+"Unchanged" means an equal value with an equal `truncated` marker (the
+marker is not part of polynomial equality, but products and sums carry
+it), so every iterate, marker included, is the one full evaluation gives.
+In the saturation phase the reused value is the raw output from before
+capping.  The first step of each phase, the verifying application and the
+marker settling always evaluate every equation.
 """
 
 from dataclasses import dataclass
@@ -40,6 +51,7 @@ class SolveResult:
     saturated: bool
     verified: bool
     threshold: int = None
+    evaluations: int = 0  # non-constant right-hand sides actually evaluated
 
     def __getitem__(self, var):
         return self.values[var]
@@ -49,12 +61,15 @@ class EquationSystem:
     """A system x_v = rhs_v with right-hand sides built from +, * and constants.
 
     rhs entries are ('const', value) or (op, [(coefficient, var), ...]) with
-    op in {'sum', 'prod'}.
+    op in {'sum', 'prod'}.  `evaluations` counts the non-constant right-hand
+    sides evaluated so far.
     """
 
     def __init__(self, handle, equations):
         self.handle = handle
         self.equations = dict(equations)
+        self.evaluations = 0
+        self._deps = {}
         for var, rhs in self.equations.items():
             tag = rhs[0]
             if tag == "const":
@@ -64,18 +79,33 @@ class EquationSystem:
             for _, dep in rhs[1]:
                 if dep not in self.equations:
                     raise ProvError(f"equation for {var!r} uses unknown variable {dep!r}")
+            self._deps[var] = frozenset(dep for _, dep in rhs[1])
 
     @property
     def variables(self):
         return list(self.equations)
 
-    def apply(self, assignment):
+    def apply(self, assignment, previous=None):
+        """One Jacobi step.  `previous` is the step before, as the pair
+        (assignment it was applied to, output it produced); an equation
+        whose dependencies are all unchanged since then reuses that output."""
         handle = self.handle
+        changed = None
+        if previous is not None:
+            before, reused = previous
+            changed = {var for var, value in assignment.items()
+                       if not _unchanged(value, before[var])}
         out = {}
+        evaluated = 0
         for var, rhs in self.equations.items():
             if rhs[0] == "const":
                 out[var] = rhs[1]
-            elif rhs[0] == "sum":
+                continue
+            if changed is not None and changed.isdisjoint(self._deps[var]):
+                out[var] = reused[var]
+                continue
+            evaluated += 1
+            if rhs[0] == "sum":
                 acc = handle.zero
                 for coeff, dep in rhs[1]:
                     acc = handle.add(acc, handle.mul(coeff, assignment[dep]))
@@ -85,6 +115,7 @@ class EquationSystem:
                 for coeff, dep in rhs[1]:
                     acc = handle.mul(acc, handle.mul(coeff, assignment[dep]))
                 out[var] = acc
+        self.evaluations += evaluated
         return out
 
     def tokens(self):
@@ -132,10 +163,12 @@ def _iterate(system, start, direction, config):
     # this cap we skip straight to the saturation phase.
     blowup = max(threshold + 1, 1 << 20)
 
+    evaluated_before = system.evaluations
     current = dict(start)
+    previous = None
     iterations = 0
     for _ in range(max_iter):
-        nxt = system.apply(current)
+        nxt = system.apply(current, previous)
         iterations += 1
         for var in current:
             lo, hi = (nxt[var], current[var]) if descending else (current[var], nxt[var])
@@ -144,31 +177,38 @@ def _iterate(system, start, direction, config):
                     f"iteration not monotone at {var!r}; equation system is outside "
                     "the supported fragment for this semiring"
                 )
-        if nxt == current:
+        moved = [x for var, x in nxt.items() if x is not current[var] and x != current[var]]
+        if not moved:
             current = _settle_metadata(system, nxt)
             return SolveResult(current, iterations, saturated=False, verified=True,
-                               threshold=threshold)
+                               threshold=threshold,
+                               evaluations=system.evaluations - evaluated_before)
+        previous = (current, nxt)
         current = nxt
-        if not descending and _blown_up(handle, current.values(), blowup, direction):
+        if not descending and _blown_up(handle, moved, blowup, direction):
             break
 
     # Saturation: keep iterating, but cap values that are still changing.
     # A diverging variable may grow by one unit only once per cycle length,
     # so this phase gets a budget proportional to the threshold as well
     # (bounded so that absurd thresholds cannot stall the solver).
+    # Steps reuse the raw output from before capping: that is what the
+    # equations produced, whereas the capped values are only the next input.
     for attempt in range(2):
         state = dict(current)
-        moving = set(state)
+        previous = None
         for _ in range(min(max_iter + threshold * n, 100_000)):
-            nxt = system.apply(state)
+            raw = system.apply(state, previous)
             iterations += 1
-            moving = {var for var in state if nxt[var] != state[var]}
+            moving = [var for var, x in raw.items() if x is not state[var] and x != state[var]]
             if not moving:
                 break
+            nxt = dict(raw)
             for var in moving:
-                nxt[var] = handle.saturate(nxt[var], threshold, direction)
+                nxt[var] = handle.saturate(raw[var], threshold, direction)
             if nxt == state:
                 break
+            previous = (state, raw)
             state = nxt
         else:
             threshold *= 2
@@ -176,7 +216,8 @@ def _iterate(system, start, direction, config):
         if system.apply(state) == state:
             state = _settle_metadata(system, state)
             return SolveResult(state, iterations, saturated=True, verified=True,
-                               threshold=threshold)
+                               threshold=threshold,
+                               evaluations=system.evaluations - evaluated_before)
         threshold *= 2
     raise NoConvergence(
         f"no fixed point within budget (iterations={iterations}, "
@@ -185,7 +226,10 @@ def _iterate(system, start, direction, config):
 
 
 def _blown_up(handle, values, cap, direction):
-    """True when saturating at cap would change anything (values exploded)."""
+    """True when saturating at cap would change anything (values exploded).
+
+    The solver passes only the values that changed in the last step: an
+    unchanged value was checked in the step before and did not blow up."""
     try:
         return any(handle.saturate(v, cap, direction) != v for v in values)
     except NoConvergence:
@@ -194,11 +238,12 @@ def _blown_up(handle, values, cap, direction):
         return False
 
 
-def _fingerprint(assignment):
-    return {
-        var: (value, getattr(value, "truncated", None))
-        for var, value in assignment.items()
-    }
+def _unchanged(a, b):
+    """Same value and same truncated marker: the solver's notion of a
+    value that did not change between two iterates."""
+    return a is b or (
+        a == b and getattr(a, "truncated", None) == getattr(b, "truncated", None)
+    )
 
 
 def _settle_metadata(system, assignment):
@@ -207,7 +252,7 @@ def _settle_metadata(system, assignment):
     current = assignment
     for _ in range(len(system.equations) + 1):
         nxt = system.apply(current)
-        if _fingerprint(nxt) == _fingerprint(current):
+        if all(_unchanged(nxt[var], value) for var, value in current.items()):
             return current
         current = nxt
     return current

@@ -10,6 +10,7 @@ from provgames.errors import (
     NotSentence,
     TrackedFalseLiteral,
 )
+from provgames.games import TERMINAL
 from provgames.infinity import INF
 from provgames.logic import (
     And,
@@ -21,9 +22,11 @@ from provgames.logic import (
     Or,
     Quant,
     Structure,
+    _resolve,
     build_mc_game,
     check_poslfp,
     fo_eval,
+    free_variables,
     game_eval,
     induced_structure,
     is_model_defining,
@@ -140,6 +143,75 @@ def test_occurrences_are_distinct_positions():
 def test_lfp_game_is_cyclic():
     mc = build_mc_game(("a", "b"), parse_formula(f"{TC}(a,b)"))
     assert not mc.game.is_acyclic()
+
+
+def _reference_mc_game(universe, formula):
+    """build_mc_game as it was before supports were computed once per
+    subformula: free_variables once per environment entry, at every
+    position.  Returns (owners, moves, terminal_literals)."""
+    owners, moves, terminal_literals = {}, [], {}
+
+    def build(f, path, env, binders):
+        pos = (path, env)
+        if pos in owners:
+            return pos
+        e = dict(env)
+        if isinstance(f, Atom) and f.rel in binders:
+            owners[pos] = 0
+            body_path, params, body = binders[f.rel]
+            args = tuple(_resolve(t, e, universe) for t in f.args)
+            moves.append((pos, build(body, body_path, frozenset(zip(params, args)), binders)))
+            return pos
+        if isinstance(f, (Atom, Eq)):
+            owners[pos] = TERMINAL
+            if isinstance(f, Atom):
+                args = tuple(_resolve(t, e, universe) for t in f.args)
+                terminal_literals[pos] = (f.rel, args, not f.negated)
+            else:
+                terminal_literals[pos] = ("=", _resolve(f.left, e, universe),
+                                          _resolve(f.right, e, universe), f.negated)
+            return pos
+        if isinstance(f, (And, Or)):
+            owners[pos] = 0 if isinstance(f, Or) else 1
+            for i, sub in enumerate((f.left, f.right)):
+                relevant = frozenset((k, v) for k, v in env if k in free_variables(sub))
+                moves.append((pos, build(sub, path + (i,), relevant, binders)))
+            return pos
+        if isinstance(f, Quant):
+            owners[pos] = 0 if f.kind == "exists" else 1
+            for a in universe:
+                relevant = frozenset(
+                    (k, v) for k, v in {**e, f.var: a}.items()
+                    if k == f.var or k in free_variables(f.sub)
+                )
+                moves.append((pos, build(f.sub, path + (0,), relevant, binders)))
+            return pos
+        owners[pos] = 0
+        args = tuple(_resolve(t, e, universe) for t in f.args)
+        body_path = path + (0,)
+        new_binders = {**binders, f.rel: (body_path, f.params, f.body)}
+        moves.append((pos, build(f.body, body_path, frozenset(zip(f.params, args)),
+                                 new_binders)))
+        return pos
+
+    build(formula, (), frozenset(), {})
+    return owners, moves, terminal_literals
+
+
+def test_mc_game_matches_reference_on_corpus():
+    rng = make_rng(salt=21)
+    count = 0
+    for universe in (("a", "b"), ("a", "b", "c")):
+        for _ in range(60):
+            for f in (to_nnf(random_fo_formula(rng, universe, depth=4)),
+                      to_nnf(random_poslfp_formula(rng, universe))):
+                mc = build_mc_game(universe, f)
+                owners, moves, literals = _reference_mc_game(universe, f)
+                assert mc.game.owners == owners
+                assert mc.game.moves == moves
+                assert mc.terminal_literals == literals
+                count += 1
+    assert count == 240
 
 
 # --- evaluation -----------------------------------------------------------

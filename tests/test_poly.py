@@ -167,6 +167,55 @@ def test_monomial_hash_equality_and_mul(d1, d2):
     assert hash(product) == hash(reference_mul(m1, m2))
 
 
+def test_monomial_merges_repeated_tokens():
+    assert Monomial([("a", 1), ("a", 2)]) == Monomial({"a": 3})
+    assert Monomial([("a", 1), ("a", 2)]).exps == (("a", 3),)
+    assert Monomial([("a", 1), ("a", INF)]) == Monomial({"a": INF})
+    assert Monomial([("b", 1), ("a", 0), ("b", 2), ("a", 1)]).exps == (("a", 1), ("b", 3))
+    with pytest.raises(ValueError):
+        Monomial([("a", 2), ("a", -1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("p", "q", "~p")),
+                          st.one_of(st.integers(min_value=0, max_value=3), st.just(INF))),
+                max_size=6))
+def test_monomial_pairs_multiply(pairs):
+    expected = ONE_MONOMIAL
+    for t, e in pairs:
+        expected = reference_mul(expected, Monomial({t: e}))
+    m = Monomial(pairs)
+    assert m == expected and hash(m) == hash(expected)
+
+
+def marked_polys(kind):
+    return st.tuples(polys(kind), st.booleans()).map(
+        lambda pb: Polynomial(kind, pb[0].monos, pb[1])
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_polys(SORPINF), marked_polys(SORPINFDUAL), st.integers(min_value=1, max_value=4))
+def test_cap_exponents_matches_rebuild(a, b, threshold):
+    for p in (a, b):
+        rebuilt = Polynomial(p.kind, {m.cap_at(threshold): c for m, c in p.monos.items()},
+                             p.truncated)
+        capped = p.cap_exponents(threshold)
+        assert capped == rebuilt and capped.truncated == rebuilt.truncated
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_polys(trunc_kind(5)), st.integers(min_value=1, max_value=5))
+def test_cap_coefficients_matches_rebuild(p, threshold):
+    rebuilt = Polynomial(
+        p.kind,
+        {m: (INF if (c is INF or c >= threshold) else c) for m, c in p.monos.items()},
+        p.truncated,
+    )
+    capped = p.cap_coefficients(threshold)
+    assert capped == rebuilt and capped.truncated == rebuilt.truncated
+
+
 @pytest.mark.parametrize("kind", (POSBOOL, SORP, SORPINF, SORPINFDUAL), ids=lambda k: k.name)
 def test_antichain_leq_matches_sum(kind):
     handle = PolySemiring(kind)
