@@ -2,9 +2,9 @@
 
 Commands: eval-game, eval-formula, solve-system, check, census.
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 semantic
-error, 4 no convergence.  Output is deterministic byte-for-byte for a
-fixed request; the structured format is line-oriented `key: value` pairs
-under a schema version header.
+error, 4 no convergence, 5 internal error (an unexpected exception).
+Output is deterministic byte-for-byte for a fixed request; the structured
+format is line-oriented `key: value` pairs under a schema version header.
 """
 
 import argparse
@@ -45,6 +45,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,6 +325,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

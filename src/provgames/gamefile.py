@@ -115,11 +115,6 @@ def parse_game_file(text):
     return game
 
 
-def load_game_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_game_file(fh.read())
-
-
 class InterpretationFile:
     def __init__(self, universe, literals):
         self.universe = universe
@@ -165,8 +160,3 @@ def parse_interpretation_file(text):
                     f"literal argument {a!r} of {rel} is not in the universe"
                 )
     return InterpretationFile(universe, literals)
-
-
-def load_interpretation_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_interpretation_file(fh.read())

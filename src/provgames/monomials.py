@@ -149,6 +149,11 @@ def _rank(m):
     return infs, total
 
 
+def rank_sorted(monomials):
+    """The monomials as a list in rank order, ties in their given order."""
+    return sorted(monomials, key=_rank)
+
+
 def normalize_antichain(monomials):
     """Keep only the absorption-maximal monomials of the given collection.
 
@@ -156,10 +161,24 @@ def normalize_antichain(monomials):
     monomial is dropped exactly when a monomial kept before it absorbs it.
     """
     keep = []
-    for m in sorted(dict.fromkeys(monomials), key=_rank):
+    for m in rank_sorted(dict.fromkeys(monomials)):
         if not any(mono_absorbs(m, k) for k in keep):
             keep.append(m)
     return keep
+
+
+def merge_antichains(a, b):
+    """`normalize_antichain` of a's monomials followed by b's, for two
+    antichains a and b (dicts or sets).
+
+    Neither operand absorbs its own other monomials, so a monomial of one
+    operand is kept unless a different monomial of the other absorbs it; a
+    monomial in both is kept once, at a's position.  Filtering and the
+    stable sort by rank commute, so the order is normalize_antichain's.
+    """
+    keep = [m for m in a if m in b or not any(mono_absorbs(m, n) for n in b)]
+    keep += [n for n in b if n not in a and not any(mono_absorbs(n, m) for m in a)]
+    return rank_sorted(keep)
 
 
 def _degree_sort_key(m):

@@ -4,6 +4,32 @@ All kinds share one representation: a canonical mapping from monomials to
 coefficients.  A kind descriptor says which quotient is in force (drop
 coefficients, cap exponents, erase complementary pairs, keep an absorption
 antichain, truncate by total degree).  Values are immutable.
+
+Every public construction goes through `_canonicalize` with all its checks.
+Sums and products of two values of one kind take three short cuts, built by
+the trusted constructor `Polynomial._canonical`, because both operands are
+already canonical (canonicalizing a canonical mapping returns it unchanged,
+dict order included):
+
+* `a + 0`, `0 + a`, `a * 1` and `1 * a` are `a` itself when the zero or one
+  operand is not marked truncated.
+* An antichain sum is the union of the operands minus the monomials the other
+  operand absorbs, in rank order (`merge_antichains`).
+* An antichain product with a single monomial m that has only finite
+  exponents, in a kind that is not multilinear, multiplies m into every
+  monomial of the other operand.  Adding finite exponents preserves and
+  reflects the absorption order, so the products are again an antichain with
+  no duplicates; they are put in rank order.
+
+The checks these results skip are implied by the operands.  Complementary
+pairs: a union keeps only monomials of the operands, which have none, and the
+product path drops every product that has one, as `_canonicalize` does.
+Multilinear cap: a union of multilinear monomials is multilinear, and
+multilinear kinds take the general product path.  INF exponents: a union
+introduces none, and a product has one only where an operand of the same
+kind has it.  Coefficients: antichain kinds keep coefficient 1 on every
+monomial, and the identities keep the operand's.  Degree bound: no antichain
+kind has one, and the identities change no monomial.
 """
 
 from dataclasses import dataclass
@@ -14,8 +40,10 @@ from .monomials import (
     ONE_MONOMIAL,
     Monomial,
     format_monomial,
+    merge_antichains,
     negate_token,
     normalize_antichain,
+    rank_sorted,
     sort_monomials,
 )
 
@@ -80,6 +108,15 @@ class Polynomial:
         object.__setattr__(self, "monos", canon)
         object.__setattr__(self, "truncated", truncated or cut)
 
+    @classmethod
+    def _canonical(cls, kind, monos, truncated):
+        """Trusted constructor: `monos` is already canonical for `kind`."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "kind", kind)
+        object.__setattr__(poly, "monos", monos)
+        object.__setattr__(poly, "truncated", truncated)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -105,7 +142,7 @@ class Polynomial:
 
     @property
     def is_one(self):
-        return self.monos == {ONE_MONOMIAL: 1}
+        return self.monos == _ONE_MONOS
 
     def coefficient(self, mono):
         return self.monos.get(mono, 0)
@@ -114,7 +151,7 @@ class Polynomial:
         # The truncated marker is metadata, not part of the value.
         return (
             isinstance(other, Polynomial)
-            and self.kind == other.kind
+            and (self.kind is other.kind or self.kind == other.kind)
             and self.monos == other.monos
         )
 
@@ -124,24 +161,49 @@ class Polynomial:
     def _check_kind(self, other):
         if not isinstance(other, Polynomial):
             raise KindMismatch(f"cannot combine polynomial with {type(other).__name__}")
-        if self.kind != other.kind:
+        if self.kind is not other.kind and self.kind != other.kind:
             raise KindMismatch(f"kind mismatch: {self.kind} vs {other.kind}")
 
     def __add__(self, other):
         self._check_kind(other)
+        if not other.monos and not other.truncated:
+            return self
+        if not self.monos and not self.truncated:
+            return other
+        kind = self.kind
+        truncated = self.truncated or other.truncated
+        if kind.antichain:
+            return Polynomial._canonical(
+                kind, dict.fromkeys(merge_antichains(self.monos, other.monos), 1), truncated)
         merged = dict(self.monos)
         for m, c in other.monos.items():
             merged[m] = ext_add(merged.get(m, 0), c)
-        return Polynomial(self.kind, merged, self.truncated or other.truncated)
+        return Polynomial(kind, merged, truncated)
 
     def __mul__(self, other):
         self._check_kind(other)
+        if other.monos == _ONE_MONOS and not other.truncated:
+            return self
+        if self.monos == _ONE_MONOS and not self.truncated:
+            return other
+        kind = self.kind
+        truncated = self.truncated or other.truncated
+        if kind.antichain and not kind.multilinear:
+            many, single = (self, other) if len(other.monos) == 1 else (other, self)
+            if len(single.monos) == 1:
+                (m,) = single.monos
+                if m.degree() is not INF:
+                    products = [k.mul(m) for k in many.monos]
+                    if kind.dual:
+                        products = [p for p in products if not p.has_complementary_pair()]
+                    return Polynomial._canonical(
+                        kind, dict.fromkeys(rank_sorted(products), 1), truncated)
         out = {}
         for m1, c1 in self.monos.items():
             for m2, c2 in other.monos.items():
                 m = m1.mul(m2)
                 out[m] = ext_add(out.get(m, 0), _coeff_mul(c1, c2))
-        return Polynomial(self.kind, out, self.truncated or other.truncated)
+        return Polynomial(kind, out, truncated)
 
     def cap_exponents(self, threshold):
         """Saturation step: exponents >= threshold become INF (no copy when
@@ -167,6 +229,9 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self.kind}: {format_poly(self)}>"
+
+
+_ONE_MONOS = {ONE_MONOMIAL: 1}
 
 
 def _canonicalize(kind, monos):

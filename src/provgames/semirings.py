@@ -703,14 +703,6 @@ def sr_eval(handle, expr):
     return handle.check(expr)
 
 
-def sr_leq_natural(handle, a, b):
-    return handle.leq(handle.check(a), handle.check(b))
-
-
-def sr_star(handle, a):
-    return handle.star(handle.check(a))
-
-
 def _law_checkers(handle):
     eq = lambda a, b: a == b
     z, o = handle.zero, handle.one

@@ -258,9 +258,101 @@ def _settle_metadata(system, assignment):
     return current
 
 
+def _lfp_support(system):
+    """The variables whose least-fixed-point value is nonzero, in a positive
+    semiring (no zero sums, no zero divisors): a constant is nonzero when it
+    is, a sum once one term with a nonzero coefficient has a nonzero
+    variable, a product once every factor's coefficient and variable are."""
+    zero = system.handle.zero
+    users = {var: [] for var in system.equations}
+    missing = {}
+    ready = []
+    for var, (tag, body) in system.equations.items():
+        if tag == "const":
+            if body != zero:
+                ready.append(var)
+            continue
+        live = {dep for coeff, dep in body if coeff != zero}
+        if tag == "prod":
+            if any(coeff == zero for coeff, _ in body):
+                continue
+            missing[var] = len(live)
+            if not live:
+                ready.append(var)
+        else:
+            missing[var] = 1
+        for dep in live:
+            users[dep].append(var)
+    support = set()
+    while ready:
+        var = ready.pop()
+        if var in support:
+            continue
+        support.add(var)
+        for user in users[var]:
+            missing[user] -= 1
+            if missing[user] == 0:
+                ready.append(user)
+    return support
+
+
+def _support_cycle_variable(system):
+    """A variable of the lfp support on a cycle of support variables (one
+    reached through nonzero coefficients only), or None when there is none."""
+    zero = system.handle.zero
+    support = _lfp_support(system)
+    succ = {
+        var: [dep for coeff, dep in rhs[1] if coeff != zero and dep in support]
+        for var, rhs in system.equations.items()
+        if var in support and rhs[0] != "const"
+    }
+    state = {}  # 1 while on the depth-first path, 2 when finished
+    for root in succ:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            var, deps = stack[-1]
+            for dep in deps:
+                if state.get(dep) == 1:
+                    return dep
+                if dep not in state:
+                    state[dep] = 1
+                    stack.append((dep, iter(succ.get(dep, ()))))
+                    break
+            else:
+                state[var] = 2
+                stack.pop()
+    return None
+
+
 def kleene_lfp(system, config=None):
-    """Least fixed point by ascending Kleene iteration from 0."""
+    """Least fixed point by ascending Kleene iteration from 0.
+
+    In nat and natpoly (the semirings that are positive, not idempotent and
+    not omega-continuous) the lfp does not exist when a variable x of its
+    support lies on a cycle of support variables, so that case fails at
+    once.  Such a cycle contains a sum (a cycle of products never becomes
+    nonzero), and a derivation tree of x can go round it any number of
+    times, so x has infinitely many derivation trees, all with nonzero
+    values.  The k-th Kleene iterate at x is the sum of the values of its
+    trees of height at most k; mapping every token to 1 (a homomorphism onto
+    N that keeps nonzero values nonzero) turns these sums into unbounded
+    natural numbers.  Every fixed point lies above every iterate, and values
+    bounded in the natural order have bounded coefficient sums, so no fixed
+    point exists.
+    """
     config = config or SolverConfig()
+    flags = system.handle.flags
+    if flags.positive and not (flags.omega_continuous or flags.idempotent_add):
+        var = _support_cycle_variable(system)
+        if var is not None:
+            raise NoConvergence(
+                f"no least fixed point: {var!r} is nonzero and lies on a cycle of "
+                f"nonzero variables, so its value grows without bound in "
+                f"{system.handle.name}"
+            )
     start = {var: system.handle.zero for var in system.equations}
     return _iterate(system, start, "lfp", config)
 

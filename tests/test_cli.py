@@ -2,6 +2,7 @@
 
 import pytest
 
+from provgames import cli
 from provgames.cli import main
 from provgames.logic import MAX_FORMULA_DEPTH
 from provgames.poly import parse_poly
@@ -260,3 +261,14 @@ def test_assign_requires_into(capsys):
     code, _, err = run(capsys, "eval-game", REACH, "--fixpoint", "mu",
                        "--semiring", "sorpinf", "--assign", "s=1")
     assert code == 3
+
+
+def test_exit_internal_on_unexpected_exception(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval-game", broken)
+    code, out, err = run(capsys, "eval-game", REACH)
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom second line\n"

@@ -1,0 +1,91 @@
+"""Golden CLI snapshot: replay a fixed command set in-process and compare
+exit code, stdout and stderr byte for byte with `tests/golden/cli.txt`.
+
+The commands are `eval-game` (default mode, `--fixpoint mu`, `--fixpoint nu`)
+and `solve-system --format structured` (mu and nu) on every
+`fixtures/*.game`, over each semiring in SEMIRINGS.  To record the current
+behaviour as the new snapshot (only when a change of output is intended):
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from provgames.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
+SEMIRINGS = ["bool", "natinf", "tropical", "sorp", "sorpinf", "sorpinfdual",
+             "series:4", "posbool", "natpoly", "dualnat"]
+
+
+def commands():
+    out = []
+    for game in sorted((ROOT / "fixtures").glob("*.game")):
+        path = f"fixtures/{game.name}"
+        for sr in SEMIRINGS:
+            out.append(("eval-game", path, "--semiring", sr))
+            for fp in ("mu", "nu"):
+                out.append(("eval-game", path, "--semiring", sr, "--fixpoint", fp))
+            for fp in ("mu", "nu"):
+                out.append(("solve-system", path, "--semiring", sr, "--fixpoint", fp,
+                            "--format", "structured"))
+    return out
+
+
+def _stream(tag, text):
+    lines = [f"{tag}| {line}" for line in text.splitlines(keepends=True)]
+    if lines and not lines[-1].endswith("\n"):
+        lines[-1] += "\n\\ no newline at end\n"
+    return "".join(lines)
+
+
+def replay(argv):
+    """The snapshot entry of one command, run in-process from the repo root."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return (f"$ provgames {' '.join(argv)}\nexit: {code}\n"
+            + _stream("out", out.getvalue()) + _stream("err", err.getvalue()))
+
+
+def _recorded():
+    entries = {}
+    for block in GOLDEN.read_text(encoding="utf-8").split("\n$ "):
+        block = block if block.startswith("$ ") else "$ " + block
+        head = block.split("\n", 1)[0]
+        entries[head] = block if block.endswith("\n") else block + "\n"
+    return entries
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return _recorded()
+
+
+@pytest.mark.parametrize("argv", commands(), ids=" ".join)
+def test_cli_output_matches_snapshot(argv, recorded, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    entry = replay(argv)
+    head = entry.split("\n", 1)[0]
+    assert head in recorded, f"no snapshot entry for {head!r}"
+    assert entry == recorded[head]
+
+
+def test_snapshot_covers_exactly_the_commands(recorded):
+    heads = [f"$ provgames {' '.join(argv)}" for argv in commands()]
+    assert sorted(heads) == sorted(recorded)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    os.chdir(ROOT)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("".join(replay(argv) for argv in commands()), encoding="utf-8")

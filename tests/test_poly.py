@@ -216,6 +216,76 @@ def test_cap_coefficients_matches_rebuild(p, threshold):
     assert capped == rebuilt and capped.truncated == rebuilt.truncated
 
 
+def kernel_polys(kind):
+    """Canonical values with INF exponents and coefficients where the kind
+    admits them, `~` tokens, truncated markers, and often one monomial."""
+    exps = st.integers(min_value=1, max_value=3)
+    if kind.inf_exponents:
+        exps = st.one_of(exps, st.just(INF))
+    coeffs = st.integers(min_value=1, max_value=4)
+    if kind.inf_coefficients:
+        coeffs = st.one_of(coeffs, st.just(INF))
+    mono = st.dictionaries(st.sampled_from(("p", "q", "r", "~p", "~q")), exps,
+                           max_size=3).map(lambda d: Monomial(d.items()))
+    monos = st.one_of(st.dictionaries(mono, coeffs, max_size=5),
+                      st.dictionaries(mono, coeffs, min_size=1, max_size=1))
+    return st.tuples(monos, st.booleans()).map(
+        lambda mb: Polynomial(kind, mb[0], mb[1]))
+
+
+def reference_sum(a, b):
+    merged = dict(a.monos)
+    for m, c in b.monos.items():
+        merged[m] = ext_add(merged.get(m, 0), c)
+    return Polynomial(a.kind, merged, a.truncated or b.truncated)
+
+
+def reference_product(a, b):
+    out = {}
+    for m1, c1 in a.monos.items():
+        for m2, c2 in b.monos.items():
+            m = reference_mul(m1, m2)
+            c = 0 if 0 in (c1, c2) else INF if INF in (c1, c2) else c1 * c2
+            out[m] = ext_add(out.get(m, 0), c)
+    return Polynomial(a.kind, out, a.truncated or b.truncated)
+
+
+KERNEL_KINDS = (POSBOOL, SORP, SORPINF, SORPINFDUAL, NATPOLY, trunc_kind(4))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS, ids=str)
+def test_sum_and_product_match_reference(kind):
+    zero, one = Polynomial.zero(kind), Polynomial.one(kind)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_polys(kind), kernel_polys(kind))
+    def check(a, b):
+        for x, y in ((a, b), (b, a), (a, a), (a, zero), (one, b)):
+            for got, want in ((x + y, reference_sum(x, y)),
+                              (x * y, reference_product(x, y))):
+                assert got == want
+                assert got.truncated == want.truncated
+                assert list(got.monos) == list(want.monos)
+        assert a + zero is a and a * one is a
+        if a != zero or a.truncated:
+            assert zero + a is a
+        if a != one or a.truncated:
+            assert one * a is a
+
+    check()
+
+
+def test_single_monomial_product_is_put_in_rank_order():
+    # p^5 adds 5 to the finite total of q^inf*r but nothing to p^inf*r*s,
+    # so the two products swap places in rank order.
+    a = parse_poly(SORPINF, "q^inf*r + p^inf*r*s")
+    m = parse_poly(SORPINF, "p^5")
+    assert list(a.monos) == [Monomial({"q": INF, "r": 1}), Monomial({"p": INF, "r": 1, "s": 1})]
+    for x, y in ((a, m), (m, a)):
+        assert list((x * y).monos) == list(reference_product(x, y).monos)
+        assert list((x * y).monos)[0] == Monomial({"p": INF, "r": 1, "s": 1})
+
+
 @pytest.mark.parametrize("kind", (POSBOOL, SORP, SORPINF, SORPINFDUAL), ids=lambda k: k.name)
 def test_antichain_leq_matches_sum(kind):
     handle = PolySemiring(kind)

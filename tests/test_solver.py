@@ -1,5 +1,6 @@
 """Fixpoint solver: paper regressions, truncation coherence, saturation."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -394,3 +395,61 @@ def test_incremental_steps_skip_unchanged_equations():
         expected += sum(bool(deps & changed) for _, deps in non_constant)
     assert result.evaluations == expected
     assert result.values == _reference_solve(system, "nu").values
+
+
+# --- least fixed points that do not exist ---------------------------------
+
+
+def test_natpoly_lfp_fails_fast_on_a_nonzero_cycle():
+    natpoly = get_semiring("natpoly")
+    game = alternating_cycle_game(8)  # 16 positions
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="'v0' is nonzero and lies on a cycle"):
+        solve_game(game, token_valuation(game, natpoly), "mu")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_natpoly_lfp_solves_when_the_cycle_is_outside_the_support():
+    natpoly = get_semiring("natpoly")
+    game = alternating_cycle_game(8)
+    # The sum positions (even i) see only zero terminals, so the whole cycle is 0.
+    f = {f"t{i}": natpoly.token(f"t{i}") if i % 2 else natpoly.zero for i in range(8)}
+    result = solve_game(game, BasicValuation(natpoly, 0, f), "mu")
+    assert all(result[f"v{i}"] == natpoly.zero for i in range(8))
+    assert result.verified and not result.saturated
+    # Neither is a cycle closed through a zero coefficient of a sum, nor one
+    # through a product with a zero factor.
+    one, zero, s, t = natpoly.one, natpoly.zero, natpoly.token("s"), natpoly.token("t")
+    for back, w_factors, w_value in ((zero, [(one, "v"), (one, "t")], s * t),
+                                     (one, [(zero, "t"), (one, "v")], zero)):
+        system = EquationSystem(natpoly, {
+            "v": ("sum", [(one, "s"), (back, "w")]),
+            "w": ("prod", w_factors),
+            "s": ("const", s),
+            "t": ("const", t),
+        })
+        result = kleene_lfp(system)
+        assert result["v"] == s and result["w"] == w_value
+
+
+def test_nat_lfp_exists_exactly_when_the_natinf_lfp_is_finite():
+    # nat and natinf have the same Kleene iterates; the nat lfp exists
+    # exactly when they stay bounded, i.e. when the natinf lfp has no inf.
+    nat, natinf = get_semiring("nat"), get_semiring("natinf")
+    rng = make_rng(salt=41)
+    fired = 0
+    for _ in range(150):
+        game = random_cyclic_game(rng)
+        basic = random_basic_valuation(rng, game, nat, pool=[1, 2])
+        limit = solve_game(game, BasicValuation(natinf, 0, basic.f, basic.h), "mu")
+        infinite = {v for v, x in limit.values.items() if x is INF}
+        # A finite nat lfp is reached within |positions| + 1 steps.
+        config = SolverConfig(max_iterations=len(game.owners) + 2)
+        if infinite:
+            fired += 1
+            with pytest.raises(NoConvergence, match="lies on a cycle") as exc:
+                solve_game(game, basic, "mu", config)
+            assert any(f"{v!r} is nonzero" in str(exc.value) for v in infinite)
+        else:
+            assert solve_game(game, basic, "mu", config).values == limit.values
+    assert 10 < fired < 140
