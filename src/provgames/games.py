@@ -156,29 +156,20 @@ class BasicValuation:
 
 
 def acyclic_valuation(game, basic):
-    """The backward-induction K-valuation of an acyclic game."""
+    """The backward-induction K-valuation of an acyclic game: its equation
+    system evaluated once per position, successors first."""
+    # Imported on first use: importing solver (and with it poly and
+    # semirings) while games itself is loading raised the peak memory of
+    # `import provgames` by about half a megabyte.
+    from .solver import build_system
+
     order = game.topological_order()
     if order is None:
         raise CyclicGame("acyclic valuation requires an acyclic game graph")
-    handle = basic.handle
+    system = build_system(game, basic)
     values = {}
     for v in order:
-        if game.is_terminal(v):
-            values[v] = basic.terminal_value(v)
-        else:
-            contributions = [
-                handle.mul(basic.move_value((v, w)), values[w])
-                for w in game.successors(v)
-            ]
-            if game.owner(v) == basic.player:
-                acc = handle.zero
-                for c in contributions:
-                    acc = handle.add(acc, c)
-            else:
-                acc = handle.one
-                for c in contributions:
-                    acc = handle.mul(acc, c)
-            values[v] = acc
+        values[v] = system.evaluate(v, values)
     return values
 
 

@@ -1,9 +1,15 @@
 """First-order and posLFP formulas with semiring-valued interpretations.
 
 Covers the formula grammar and parser, negation normal form, interpretations
-of instantiated literals, the model-checking game construction, the
-compositional and game-based valuations, and the direct fixed-point
-semantics for lfp formulas.
+of instantiated literals, the model-checking game construction, and three
+valuations.  The game-based one solves the equation system of the
+model-checking game.  The direct fixed-point semantics compiles the formula
+itself into an equation system, one variable per tuple of each lfp relation
+(nested fixed points join the same system), and solves it with the same
+`kleene_lfp`; the compositional valuation of a first-order sentence is the
+fixed-point-free case of that compiler, where every subformula folds to a
+constant.  The two routes to a posLFP value share only the solver, so
+comparing them checks the game construction.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +26,8 @@ from .errors import (
 )
 from .games import TERMINAL, BasicValuation, GameGraph, acyclic_valuation
 from .monomials import negate_token
-from .semirings import PolySemiring, get_semiring
-from .solver import SolverConfig, _blown_up, build_system, kleene_lfp
+from .semirings import get_semiring
+from .solver import EquationSystem, build_system, kleene_lfp
 
 # --- abstract syntax --------------------------------------------------------
 
@@ -509,7 +515,7 @@ def make_tracking_interpretation(structure, tracked, handle=None):
     return KInterpretation(handle, structure.universe, arities, values)
 
 
-# --- compositional (FO) evaluation -------------------------------------------
+# --- compiling formulas to equation systems ------------------------------------
 
 
 def _resolve(term, env, universe):
@@ -520,35 +526,108 @@ def _resolve(term, env, universe):
     raise NotSentence(f"unbound variable {term!r}")
 
 
-def fo_eval(pi, sentence):
-    """Compositional semiring value of a first-order sentence."""
-    handle = pi.handle
+class _Compiler:
+    """Compiles a formula under an interpretation into one equation system.
 
-    def ev(f, env):
+    A subformula compiles to a right-hand side in the `EquationSystem`
+    format: ('const', value) when it mentions no bound relation, else
+    (op, [(coefficient, var), ...]).  A child with its parent's operator, or
+    with a single term, is flattened into the parent; any other child gets
+    an auxiliary variable `#k`.  The constants of a sum enter as one
+    coefficient of the shared variable `1`; those of a product multiply the
+    coefficient of its first term, and a zero one makes the product 0.
+
+    Every lfp occurrence is one relation instance, with one variable
+    `R(a,b)` per tuple of the universe; nested fixed points join the same
+    system (Bekic).  A fixed-point body sees its own parameters only, so the
+    instance does not depend on where the occurrence is evaluated.
+    """
+
+    ONE = "1"
+
+    def __init__(self, pi, fixpoints):
+        self.pi = pi
+        self.handle = pi.handle
+        self.fixpoints = fixpoints
+        self.equations = {}
+        self.instances = {}  # id of an Fp node -> its relation instance name
+
+    def compile(self, f, env, rel_env):
+        pi = self.pi
         if isinstance(f, Atom):
             args = tuple(_resolve(t, env, pi.universe) for t in f.args)
-            return pi.literal(f.rel, args, not f.negated)
+            if f.rel in rel_env:
+                return "sum", [(self.handle.one, _tuple_var(rel_env[f.rel], args))]
+            return "const", pi.literal(f.rel, args, not f.negated)
         if isinstance(f, Eq):
             a = _resolve(f.left, env, pi.universe)
             b = _resolve(f.right, env, pi.universe)
-            return pi.equality(a, b, f.negated)
+            return "const", pi.equality(a, b, f.negated)
         if isinstance(f, Not):
-            return ev(to_nnf(f), env)
-        if isinstance(f, And):
-            return handle.mul(ev(f.left, env), ev(f.right, env))
-        if isinstance(f, Or):
-            return handle.add(ev(f.left, env), ev(f.right, env))
+            return self.compile(to_nnf(f), env, rel_env)
+        if isinstance(f, (And, Or)):
+            parts = [self.compile(f.left, env, rel_env), self.compile(f.right, env, rel_env)]
+            return self.combine("prod" if isinstance(f, And) else "sum", parts)
         if isinstance(f, Quant):
-            acc = handle.zero if f.kind == "exists" else handle.one
-            combine = handle.add if f.kind == "exists" else handle.mul
-            for a in pi.universe:
-                acc = combine(acc, ev(f.sub, {**env, f.var: a}))
-            return acc
+            parts = [self.compile(f.sub, {**env, f.var: a}, rel_env) for a in pi.universe]
+            return self.combine("sum" if f.kind == "exists" else "prod", parts)
         if isinstance(f, Fp):
-            raise NotPosLFP("fo_eval handles first-order sentences only")
+            if not self.fixpoints:
+                raise NotPosLFP("fo_eval handles first-order sentences only")
+            name = self.instance(f, rel_env)
+            args = tuple(_resolve(t, env, pi.universe) for t in f.args)
+            return "sum", [(self.handle.one, _tuple_var(name, args))]
         raise ProvError(f"unknown formula node {f!r}")
 
-    return ev(sentence, {})
+    def combine(self, op, parts):
+        handle = self.handle
+        fold, unit = (handle.add, handle.zero) if op == "sum" else (handle.mul, handle.one)
+        const, terms = None, []
+        for tag, body in parts:
+            if tag == "const":
+                const = body if const is None else fold(const, body)
+            elif tag == op or len(body) == 1:
+                terms.extend(body)
+            else:
+                terms.append((handle.one, self.auxiliary((tag, body))))
+        if not terms:
+            return "const", unit if const is None else const
+        if const is None or const == unit:
+            return op, terms
+        if op == "sum":
+            self.equations.setdefault(self.ONE, ("const", handle.one))
+            return op, [(const, self.ONE)] + terms
+        if const == handle.zero:
+            return "const", const
+        (coeff, var), *rest = terms
+        return op, [(handle.mul(const, coeff), var)] + rest
+
+    def auxiliary(self, rhs):
+        var = f"#{len(self.equations)}"
+        self.equations[var] = rhs
+        return var
+
+    def instance(self, f, rel_env):
+        """The relation instance of an lfp occurrence, compiled on first use."""
+        name = self.instances.get(id(f))
+        if name is None:
+            taken = f.rel in self.instances.values()
+            name = f"{f.rel}#{len(self.instances) + 1}" if taken else f.rel
+            self.instances[id(f)] = name
+            body_env = {**rel_env, f.rel: name}
+            for args in _tuples(self.pi.universe, len(f.params)):
+                self.equations[_tuple_var(name, args)] = self.compile(
+                    f.body, dict(zip(f.params, args)), body_env)
+        return name
+
+
+def _tuple_var(name, args):
+    return f"{name}({','.join(args)})"
+
+
+def fo_eval(pi, sentence):
+    """Compositional semiring value of a first-order sentence."""
+    return _Compiler(pi, fixpoints=False).compile(sentence, {}, {})[1]
 
 
 # --- model-checking games -----------------------------------------------------
@@ -690,84 +769,17 @@ def game_eval(pi, sentence, player=0, config=None):
 
 
 def poslfp_eval_direct(pi, sentence, config=None):
-    """Fixed-point semantics: iterate the update operator on relation
-    valuations, innermost-first, with the solver's saturation policy."""
-    handle = pi.handle
+    """Fixed-point semantics: the sentence's value in the least solution of
+    the equation system it compiles to, found by `kleene_lfp`."""
     nnf = to_nnf(sentence)
     check_poslfp(nnf)
-    config = config or SolverConfig()
-
-    def ev(f, env, rel_env):
-        if isinstance(f, Atom):
-            args = tuple(_resolve(t, env, pi.universe) for t in f.args)
-            if f.rel in rel_env:
-                return rel_env[f.rel][args]
-            return pi.literal(f.rel, args, not f.negated)
-        if isinstance(f, Eq):
-            a = _resolve(f.left, env, pi.universe)
-            b = _resolve(f.right, env, pi.universe)
-            return pi.equality(a, b, f.negated)
-        if isinstance(f, And):
-            return handle.mul(ev(f.left, env, rel_env), ev(f.right, env, rel_env))
-        if isinstance(f, Or):
-            return handle.add(ev(f.left, env, rel_env), ev(f.right, env, rel_env))
-        if isinstance(f, Quant):
-            acc = handle.zero if f.kind == "exists" else handle.one
-            combine = handle.add if f.kind == "exists" else handle.mul
-            for a in pi.universe:
-                acc = combine(acc, ev(f.sub, {**env, f.var: a}, rel_env))
-            return acc
-        if isinstance(f, Fp):
-            table = _lfp_table(f, env, rel_env)
-            args = tuple(_resolve(t, env, pi.universe) for t in f.args)
-            return table[args]
-        raise ProvError(f"unknown formula node {f!r}")
-
-    def _lfp_table(f, env, rel_env):
-        tuples = _tuples(pi.universe, len(f.params))
-        g = {args: handle.zero for args in tuples}
-        n = len(tuples)
-        max_iter = 4 * n + 16
-        threshold = config.threshold_for(n)
-
-        def step(current):
-            return {
-                args: ev(f.body, dict(zip(f.params, args)), {**rel_env, f.rel: current})
-                for args in tuples
-            }
-
-        # Same early exit as the equation solver: multiplicative bodies can
-        # square values every round, so bail to the saturation phase once
-        # any entry blows past this cap.
-        blowup = max(threshold + 1, 1 << 20)
-        for _ in range(max_iter):
-            nxt = step(g)
-            if nxt == g:
-                return g
-            g = nxt
-            if _blown_up(handle, g.values(), blowup, "lfp"):
-                break
-        for _ in range(2):
-            state = dict(g)
-            for _ in range(min(max_iter + threshold * n, 100_000)):
-                nxt = step(state)
-                moving = [args for args in tuples if nxt[args] != state[args]]
-                if not moving:
-                    break
-                for args in moving:
-                    nxt[args] = handle.saturate(nxt[args], threshold, "lfp")
-                if nxt == state:
-                    break
-                state = nxt
-            if step(state) == state:
-                return state
-            threshold *= 2
-            g = state
-        from .errors import NoConvergence
-
-        raise NoConvergence("fixed-point relation valuation did not stabilize")
-
-    return ev(nnf, {}, {})
+    compiler = _Compiler(pi, fixpoints=True)
+    rhs = compiler.compile(nnf, {}, {})
+    if rhs[0] == "const":
+        return rhs[1]
+    root = compiler.auxiliary(rhs)
+    system = EquationSystem(pi.handle, compiler.equations)
+    return kleene_lfp(system, config)[root]
 
 
 def model_check(structure, sentence):

@@ -29,6 +29,7 @@ from .poly import (
     Polynomial,
     format_poly,
     parse_poly,
+    series_geom,
     trunc_kind,
 )
 
@@ -549,31 +550,8 @@ class PolySemiring(Semiring):
             raise NotOmegaContinuous(f"semiring {self.name} is not omega-continuous")
         if self.flags.absorptive:
             return self.one
-        # Truncated series: iterate s <- 1 + a*s; any coefficient still
-        # changing after the budget is diverging and pinned to inf.
-        budget = 4 * (self.kind.degree_bound + 2)
-        s = self.one
-        for _ in range(budget):
-            nxt = self.one + a * s
-            if nxt == s:
-                return s
-            s = nxt
-        for _ in range(budget):
-            nxt = self.one + a * s
-            moving = {
-                m for m in set(s.monos) | set(nxt.monos)
-                if s.coefficient(m) != nxt.coefficient(m)
-            }
-            if not moving:
-                break
-            s = Polynomial(
-                self.kind,
-                {m: (INF if m in moving else c) for m, c in nxt.monos.items()},
-                nxt.truncated,
-            )
-        if self.one + a * s == s:
-            return s
-        raise NoConvergence(f"star did not stabilize in {self.name}")
+        # Truncated series: 1 + a + a^2 + ..., cut at the degree bound.
+        return series_geom(self.one, a, self.kind.degree_bound)
 
     def pow_inf(self, a):
         if not self.flags.absorptive:

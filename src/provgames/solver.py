@@ -21,6 +21,7 @@ marker settling always evaluate every equation.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NoConvergence, NotFullyOmegaContinuous, ProvError
 from .poly import Polynomial
@@ -31,7 +32,6 @@ from .semirings import PolySemiring
 class SolverConfig:
     max_iterations: int = None  # default 4*|vars| + 16
     saturation_threshold: int = None  # default 2*|vars| + 2
-    trunc_degree: int = 8
 
     def iterations_for(self, n_vars):
         if self.max_iterations is not None:
@@ -69,7 +69,6 @@ class EquationSystem:
         self.handle = handle
         self.equations = dict(equations)
         self.evaluations = 0
-        self._deps = {}
         for var, rhs in self.equations.items():
             tag = rhs[0]
             if tag == "const":
@@ -79,7 +78,13 @@ class EquationSystem:
             for _, dep in rhs[1]:
                 if dep not in self.equations:
                     raise ProvError(f"equation for {var!r} uses unknown variable {dep!r}")
-            self._deps[var] = frozenset(dep for _, dep in rhs[1])
+
+    @cached_property
+    def _deps(self):
+        """The dependencies of each non-constant equation, built on the
+        first incremental step (one pass of `evaluate` needs none)."""
+        return {var: frozenset(dep for _, dep in rhs[1])
+                for var, rhs in self.equations.items() if rhs[0] != "const"}
 
     @property
     def variables(self):
@@ -89,7 +94,6 @@ class EquationSystem:
         """One Jacobi step.  `previous` is the step before, as the pair
         (assignment it was applied to, output it produced); an equation
         whose dependencies are all unchanged since then reuses that output."""
-        handle = self.handle
         changed = None
         if previous is not None:
             before, reused = previous
@@ -105,18 +109,27 @@ class EquationSystem:
                 out[var] = reused[var]
                 continue
             evaluated += 1
-            if rhs[0] == "sum":
-                acc = handle.zero
-                for coeff, dep in rhs[1]:
-                    acc = handle.add(acc, handle.mul(coeff, assignment[dep]))
-                out[var] = acc
-            else:
-                acc = handle.one
-                for coeff, dep in rhs[1]:
-                    acc = handle.mul(acc, handle.mul(coeff, assignment[dep]))
-                out[var] = acc
+            out[var] = self.evaluate(var, assignment)
         self.evaluations += evaluated
         return out
+
+    def evaluate(self, var, assignment):
+        """The value of var's right-hand side under the assignment, which
+        needs to cover only var's dependencies: zero + c*x + ... for a sum,
+        one * (c*x) * ... for a product."""
+        tag, body = self.equations[var]
+        if tag == "const":
+            return body
+        handle = self.handle
+        if tag == "sum":
+            acc = handle.zero
+            for coeff, dep in body:
+                acc = handle.add(acc, handle.mul(coeff, assignment[dep]))
+        else:
+            acc = handle.one
+            for coeff, dep in body:
+                acc = handle.mul(acc, handle.mul(coeff, assignment[dep]))
+        return acc
 
     def tokens(self):
         """All indeterminates occurring in polynomial constants/coefficients."""
@@ -145,7 +158,7 @@ def build_system(game, basic):
         if game.is_terminal(v):
             equations[v] = ("const", basic.terminal_value(v))
         else:
-            parts = [(basic.move_value((v, w)), w) for w in game.successors(v)]
+            parts = tuple((basic.move_value((v, w)), w) for w in game.successors(v))
             op = "sum" if game.owner(v) == basic.player else "prod"
             equations[v] = (op, parts)
     return EquationSystem(handle, equations)

@@ -1,12 +1,16 @@
 """CLI behavior: output shape, determinism, round-trips, exit codes."""
 
+import re
+import time
+
 import pytest
 
-from provgames import cli
+from provgames import cli, logic
 from provgames.cli import main
 from provgames.logic import MAX_FORMULA_DEPTH
 from provgames.poly import parse_poly
 from provgames.semirings import get_semiring
+from provgames.solver import kleene_lfp
 
 FIXTURES = "fixtures"
 REACH = f"{FIXTURES}/reach.game"
@@ -272,3 +276,36 @@ def test_exit_internal_on_unexpected_exception(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
     assert err == "error: internal error: RuntimeError: boom second line\n"
+
+
+def test_direct_mode_fails_fast_without_least_fixed_point(capsys, tmp_path):
+    # The cycle b->d->b gives R(b,d) infinitely many derivations, so natpoly
+    # has no least fixed point; the direct mode says so at once.
+    interp = tmp_path / "pi.interp"
+    interp.write_text("universe a b c d\nE(a,b) = p\nE(b,d) = q\nE(d,b) = r\nE(b,c) = s\n")
+    tc = "[lfp R(x,y). E(x,y) | exists z.(E(x,z) & R(z,y))](a,d)"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval-formula", tc, str(interp), "--inline",
+                         "--semiring", "natpoly", "--mode", "direct")
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_NO_CONVERGENCE == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert re.match(r"error: no least fixed point: 'R\([a-d],[a-d]\)' ", err)
+
+
+def test_max_iter_reaches_the_solver_in_direct_mode(capsys, tmp_path, monkeypatch):
+    budgets = []
+
+    def recording_lfp(system, config=None):
+        budgets.append(config.iterations_for(len(system.equations)))
+        return kleene_lfp(system, config)
+
+    monkeypatch.setattr(logic, "kleene_lfp", recording_lfp)
+    interp = tmp_path / "pi.interp"
+    interp.write_text("universe a b c\nE(a,b) = 1\nE(b,c) = 1\n")
+    tc = "[lfp R(x,y). E(x,y) | exists z.(E(x,z) & R(z,y))](a,c)"
+    code, out, _ = run(capsys, "eval-formula", tc, str(interp), "--inline",
+                       "--semiring", "natinf", "--mode", "direct", "--max-iter", "7")
+    assert (code, out) == (0, "value: 1\n")
+    assert budgets == [7]

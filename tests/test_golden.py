@@ -3,8 +3,18 @@ exit code, stdout and stderr byte for byte with `tests/golden/cli.txt`.
 
 The commands are `eval-game` (default mode, `--fixpoint mu`, `--fixpoint nu`)
 and `solve-system --format structured` (mu and nu) on every
-`fixtures/*.game`, over each semiring in SEMIRINGS.  To record the current
-behaviour as the new snapshot (only when a change of output is intended):
+`fixtures/*.game`, over each semiring in SEMIRINGS, and `eval-formula
+--model-default` in each of its three modes on every `fixtures/*.formula`
+(transitive closure, a nested lfp whose inner body uses the outer relation,
+a first-order sentence with negation), over each semiring in
+FORMULA_SEMIRINGS: the numeric ones read `fixtures/graph.interp`, the
+polynomial ones `fixtures/graph-tokens.interp`, the same graph with one
+token per literal.  natpoly and dualnat are left out of the formula
+commands: the graph's cycle has no least fixed point there, and when these
+entries were recorded `--mode direct` in both, and `--mode game` in
+dualnat, ran past 15 s on `tc.formula` without an answer.  To record
+the current behaviour as the new snapshot (only when a change of output is
+intended):
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -23,6 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
 SEMIRINGS = ["bool", "natinf", "tropical", "sorp", "sorpinf", "sorpinfdual",
              "series:4", "posbool", "natpoly", "dualnat"]
+FORMULA_SEMIRINGS = {"bool": "graph.interp", "natinf": "graph.interp",
+                     "tropical": "graph.interp", "sorp": "graph-tokens.interp",
+                     "sorpinf": "graph-tokens.interp", "posbool": "graph-tokens.interp"}
 
 
 def commands():
@@ -36,6 +49,11 @@ def commands():
             for fp in ("mu", "nu"):
                 out.append(("solve-system", path, "--semiring", sr, "--fixpoint", fp,
                             "--format", "structured"))
+    for formula in sorted((ROOT / "fixtures").glob("*.formula")):
+        for sr, interp in FORMULA_SEMIRINGS.items():
+            for mode in ("game", "compositional", "direct"):
+                out.append(("eval-formula", f"fixtures/{formula.name}", f"fixtures/{interp}",
+                            "--semiring", sr, "--mode", mode, "--model-default"))
     return out
 
 

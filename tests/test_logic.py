@@ -5,9 +5,11 @@ import pytest
 from provgames.errors import (
     ArityError,
     FormulaSyntaxError,
+    NoConvergence,
     NotModelDefining,
     NotPosLFP,
     NotSentence,
+    ProvError,
     TrackedFalseLiteral,
 )
 from provgames.games import TERMINAL
@@ -22,7 +24,9 @@ from provgames.logic import (
     Or,
     Quant,
     Structure,
+    _Compiler,
     _resolve,
+    _tuples,
     build_mc_game,
     check_poslfp,
     fo_eval,
@@ -37,6 +41,7 @@ from provgames.logic import (
     to_nnf,
 )
 from provgames.semirings import get_semiring
+from provgames.solver import SolverConfig, _blown_up
 
 from genutil import (
     RELS,
@@ -325,6 +330,162 @@ def test_nested_lfp():
     )
     assert poslfp_eval_direct(pi, f) == 1
     assert game_eval(pi, f) == 1
+
+
+def _reference_direct(pi, sentence, config=None):
+    """poslfp_eval_direct as it was before formulas were compiled to one
+    equation system: each lfp table is iterated on its own, innermost
+    first, and then saturated."""
+    handle = pi.handle
+    nnf = to_nnf(sentence)
+    check_poslfp(nnf)
+    config = config or SolverConfig()
+
+    def ev(f, env, rel_env):
+        if isinstance(f, Atom):
+            args = tuple(_resolve(t, env, pi.universe) for t in f.args)
+            if f.rel in rel_env:
+                return rel_env[f.rel][args]
+            return pi.literal(f.rel, args, not f.negated)
+        if isinstance(f, Eq):
+            a = _resolve(f.left, env, pi.universe)
+            b = _resolve(f.right, env, pi.universe)
+            return pi.equality(a, b, f.negated)
+        if isinstance(f, And):
+            return handle.mul(ev(f.left, env, rel_env), ev(f.right, env, rel_env))
+        if isinstance(f, Or):
+            return handle.add(ev(f.left, env, rel_env), ev(f.right, env, rel_env))
+        if isinstance(f, Quant):
+            acc = handle.zero if f.kind == "exists" else handle.one
+            combine = handle.add if f.kind == "exists" else handle.mul
+            for a in pi.universe:
+                acc = combine(acc, ev(f.sub, {**env, f.var: a}, rel_env))
+            return acc
+        table = _lfp_table(f, env, rel_env)
+        args = tuple(_resolve(t, env, pi.universe) for t in f.args)
+        return table[args]
+
+    def _lfp_table(f, env, rel_env):
+        tuples = _tuples(pi.universe, len(f.params))
+        g = {args: handle.zero for args in tuples}
+        n = len(tuples)
+        max_iter = 4 * n + 16
+        threshold = config.threshold_for(n)
+
+        def step(current):
+            return {
+                args: ev(f.body, dict(zip(f.params, args)), {**rel_env, f.rel: current})
+                for args in tuples
+            }
+
+        blowup = max(threshold + 1, 1 << 20)
+        for _ in range(max_iter):
+            nxt = step(g)
+            if nxt == g:
+                return g
+            g = nxt
+            if _blown_up(handle, g.values(), blowup, "lfp"):
+                break
+        for _ in range(2):
+            state = dict(g)
+            for _ in range(min(max_iter + threshold * n, 100_000)):
+                nxt = step(state)
+                moving = [args for args in tuples if nxt[args] != state[args]]
+                if not moving:
+                    break
+                for args in moving:
+                    nxt[args] = handle.saturate(nxt[args], threshold, "lfp")
+                if nxt == state:
+                    break
+                state = nxt
+            if step(state) == state:
+                return state
+            threshold *= 2
+            g = state
+        raise NoConvergence("fixed-point relation valuation did not stabilize")
+
+    return ev(nnf, {}, {})
+
+
+def _outcome(evaluate, *args):
+    """The value, or the type of the ProvError raised instead."""
+    try:
+        return evaluate(*args)
+    except ProvError as exc:
+        return type(exc)
+
+
+REFERENCE_SEMIRINGS = ("bool", "natinf", "sorp", "sorpinf", "tropical", "posbool")
+
+NESTED = [
+    # an lfp inside an lfp body that uses the outer relation
+    "[lfp R(x). P(x) | [lfp S(y). exists z.(E(y,z) & (R(z) | S(z)))](x)](a)",
+    # an lfp under a quantifier
+    "forall u. exists v. [lfp R(x,y). E(x,y) | exists z.(E(x,z) & R(z,y))](u,v)",
+    # a squared body
+    "[lfp S(y). P(y) | exists z.(E(z,y) & S(z) & S(z))](c)",
+    # one relation symbol bound twice, the inner binder shadowing the outer
+    "[lfp R(x). P(x) | exists y.(E(x,y) & [lfp R(z). P(z) | exists w.(E(w,z) & R(w))](y))](b)",
+]
+
+
+def _nested_interpretation(handle):
+    """Edges a->b->c->a and c->b, P at c; each true literal a distinct
+    sample value of the semiring."""
+    pool = [v for v in handle.sample_values() if v != handle.zero]
+    literals = [("E", ("a", "b")), ("E", ("b", "c")), ("E", ("c", "a")),
+                ("E", ("c", "b")), ("P", ("c",))]
+    return KInterpretation(
+        handle, ("a", "b", "c"), {"E": 2, "P": 1},
+        {(rel, args, True): pool[i % len(pool)] for i, (rel, args) in enumerate(literals)},
+    )
+
+
+@pytest.mark.parametrize("selector", REFERENCE_SEMIRINGS)
+def test_direct_matches_reference_on_poslfp_corpus(selector):
+    handle = get_semiring(selector)
+    rng = make_rng(salt=40)
+    for universe, count in ((("a", "b"), 60), (("a", "b", "c"), 20)):
+        for _ in range(count):
+            f = random_poslfp_formula(rng, universe)
+            pi = random_interpretation(rng, handle, universe,
+                                       rels={**RELS, "F": len(f.params)})
+            assert _outcome(poslfp_eval_direct, pi, f) == _outcome(_reference_direct, pi, f)
+
+
+@pytest.mark.parametrize("selector", REFERENCE_SEMIRINGS)
+def test_direct_matches_reference_and_game_on_nested_fixpoints(selector):
+    pi = _nested_interpretation(get_semiring(selector))
+    for text in NESTED:
+        f = parse_formula(text)
+        direct = poslfp_eval_direct(pi, f)
+        assert direct == _reference_direct(pi, f)
+        assert direct == game_eval(pi, f)
+
+
+def test_fixpoint_body_does_not_see_outer_variables():
+    pi = _nested_interpretation(BOOL)
+    f = parse_formula("exists u. [lfp R(x). E(u,x) | R(x)](a)")
+    assert _outcome(_reference_direct, pi, f) is NotSentence
+    with pytest.raises(NotSentence):
+        poslfp_eval_direct(pi, f)
+
+
+def test_transitive_closure_compiles_to_one_sum_per_tuple():
+    # R(x,y) = E(x,y)*1 + sum over z of E(x,z)*R(z,y), zero terms left out
+    natinf = get_semiring("natinf")
+    pi = KInterpretation(natinf, ("a", "b"), {"E": 2}, {("E", ("a", "b"), True): 2})
+    compiler = _Compiler(pi, fixpoints=True)
+    root = compiler.compile(to_nnf(parse_formula(f"{TC}(a,b)")), {}, {})
+    assert root == ("sum", [(1, "R(a,b)")])
+    assert compiler.equations == {
+        "1": ("const", 1),
+        "R(a,a)": ("sum", [(2, "R(b,a)")]),
+        "R(a,b)": ("sum", [(2, "1"), (2, "R(b,b)")]),
+        "R(b,a)": ("const", 0),
+        "R(b,b)": ("const", 0),
+    }
+    assert poslfp_eval_direct(pi, parse_formula(f"{TC}(a,b)")) == 2
 
 
 # --- interpretations -------------------------------------------------------

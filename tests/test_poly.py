@@ -399,3 +399,54 @@ def test_whypoly_caps_exponents():
     p = wh.token("p")
     assert wh.mul(p, p) == p
     assert wh.add(p, p) == p
+
+
+def reference_star(handle, a):
+    """PolySemiring.star on truncated series as it was before it called
+    series_geom: iterate s <- 1 + a*s, then pin coefficients still moving
+    to inf.  It returned s, not the last iterate, so it dropped the
+    truncation marker."""
+    one = handle.one
+    budget = 4 * (handle.kind.degree_bound + 2)
+    s = one
+    for _ in range(budget):
+        nxt = one + a * s
+        if nxt == s:
+            return s
+        s = nxt
+    for _ in range(budget):
+        nxt = one + a * s
+        moving = {m for m in set(s.monos) | set(nxt.monos)
+                  if s.coefficient(m) != nxt.coefficient(m)}
+        if not moving:
+            break
+        s = Polynomial(handle.kind, {m: (INF if m in moving else c) for m, c in nxt.monos.items()},
+                       nxt.truncated)
+    assert one + a * s == s
+    return s
+
+
+@pytest.mark.parametrize("selector", ["series:0", "series:2", "series:4", "seriesdual:4"])
+def test_series_star_matches_reference(selector):
+    handle = get_semiring(selector)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_polys(handle.kind))
+    def check(a):
+        star = handle.star(a)
+        assert star == reference_star(handle, a)
+        assert star.kind == handle.kind
+        assert handle.one + a * star == star
+
+    check()
+
+
+def test_series_star_keeps_truncation_marker():
+    handle = get_semiring("series:2")
+    p = handle.token("p")
+    star = handle.star(p)
+    assert star == handle.parse_value("1 + p + p^2")
+    assert star.truncated  # p^3 was cut off
+    assert not reference_star(handle, p).truncated
+    one = handle.star(handle.zero)
+    assert one == handle.one and not one.truncated
