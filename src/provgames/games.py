@@ -226,30 +226,48 @@ def enumerate_strategies(game, player, root, max_nodes=100_000):
     Complete for acyclic games; on cyclic games the growing paths blow the
     budget, which is the documented behavior.
     """
-    budget = [max_nodes]
+    budget = max_nodes
+    # A frame [path, successors left, player's choice?, node sets so far]
+    # per position being expanded: a choice collects its children's node
+    # sets one after another, any other position takes their product.
+    # Nodes are entered in depth-first order, as a recursive expansion would.
+    stack = []
 
-    def expand(path):
-        v = path[-1]
-        budget[0] -= 1
-        if budget[0] < 0:
+    def enter(path):
+        """Count the node; the node sets of a terminal, or None once the
+        frame of a position to expand is pushed."""
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
             raise BudgetExceeded(f"strategy enumeration exceeded {max_nodes} nodes")
+        v = path[-1]
         if game.is_terminal(v):
             return [[path]]
-        if game.owner(v) == player:
-            result = []
-            for w in game.successors(v):
-                for sub in expand(path + (w,)):
-                    result.append([path] + sub)
-            return result
-        parts = [[path]]
-        for w in game.successors(v):
-            subs = expand(path + (w,))
-            parts = [acc + sub for acc in parts for sub in subs]
-        return parts
+        choice = game.owner(v) == player
+        stack.append([path, iter(game.successors(v)), choice, [] if choice else [[path]]])
+        return None
+
+    done = enter((root,))  # the node sets of the node finished last
+    while stack:
+        frame = stack[-1]
+        path, successors, choice, acc = frame
+        if done is not None:
+            if choice:
+                acc.extend([path] + sub for sub in done)
+            else:
+                frame[3] = [part + sub for part in acc for sub in done]
+            done = None
+            continue
+        for w in successors:
+            done = enter(path + (w,))
+            break
+        else:
+            stack.pop()
+            done = acc
 
     return [
         Strategy.from_paths(player, root, node_set, game)
-        for node_set in expand((root,))
+        for node_set in done
     ]
 
 

@@ -562,21 +562,9 @@ class PolySemiring(Semiring):
             # Without infinite exponents the power chain of any non-unit
             # element descends to 0 (every monomial degree keeps growing).
             return self.zero
-        finite_total = sum(
-            e for m in a.monos for _, e in m if e is not INF
-        )
-        threshold = 2 * finite_total + 4
-        for _ in range(2):
-            v = a
-            for _ in range(4 * threshold + 8):
-                nxt = (v * a).cap_exponents(threshold)
-                if nxt == v:
-                    break
-                v = nxt
-            if v * a == v:
-                return v
-            threshold *= 2
-        raise NoConvergence(f"power chain did not stabilize in {self.name}")
+        # (m_1 + ... + m_k)^inf = m_1^inf + ... + m_k^inf, and m^inf sets
+        # every exponent of m to inf (see the solver's module docstring).
+        return Polynomial(self.kind, {m.cap_at(1): 1 for m in a.monos}, a.truncated)
 
     def saturate(self, a, threshold, direction):
         # Exponent growth only happens in descending (gfp) iteration, and

@@ -1,12 +1,59 @@
-"""Polynomial equation systems for games and Kleene fixed-point iteration.
+"""Polynomial equation systems for games and their least and greatest
+fixed points.
 
-Least fixed points start at 0, greatest fixed points at the top element
-(which for truncated power-series semirings depends on the token alphabet).
-When plain iteration does not stabilize within the budget, we keep
-iterating while capping runaway values after every step (the capping is
-applied only to variables that are still moving, so values that already
-settled are never touched), and finally verify the result by one exact
-application of the system.
+The solver splits a system into strongly connected components of its
+dependency graph (one iterative Tarjan pass) and solves them bottom-up, so
+that every component sees its dependencies already solved, as constants.
+A component without a cycle needs one evaluation.  A cyclic component of
+n variables is solved exactly where a theorem applies:
+
+* Absorptive semirings, least fixed point: plain Kleene iteration from 0.
+  The k-th iterate at x is the sum of the values of x's derivation trees of
+  height at most k.  A tree with a variable repeated on a path is absorbed
+  by the tree that cuts out the part between the repetitions (its value is
+  the pruned tree's value times more factors, and a + a*b = a), so the
+  trees of height at most n already give the sum: the n-th iterate is the
+  lfp and step n+1 repeats it.  A component that has not repeated after
+  n+1 steps raises `ProvError`.
+* Absorptive, fully omega-continuous semirings, greatest fixed point: the
+  closed form x = f^n((f^n(T))^inf), with T the top element and the
+  infinitary power taken per variable; see Naaf, "Computing least and
+  greatest fixed points in absorptive semirings" (RAMiCS 2021).  Both
+  phases stop early when an iterate repeats, which in the first phase is
+  the gfp itself (a fixed point that is a Kleene iterate from the top lies
+  above every fixed point); the second phase must repeat within n+1 steps
+  or the solver raises `ProvError`.  For the antichain polynomials the
+  infinitary power is (m_1 + ... + m_k)^inf = m_1^inf + ... + m_k^inf: a
+  product of powers of several m_i is absorbed by a power of one of them,
+  so only the single-monomial chains m_i^e survive in the limit, and their
+  limit sets every exponent of m_i to inf (`PolySemiring.pow_inf`).
+* Positive semirings that are not idempotent (nat, natpoly, natinf), least
+  fixed point: the lfp support (the variables whose lfp value is nonzero)
+  comes from a linear worklist.  A support variable on a cycle of support
+  variables (edges through nonzero coefficients) has infinitely many
+  derivation trees, all with nonzero value (see `kleene_lfp`), so in natinf,
+  where every nonzero value is at least 1, its value is inf; in nat and
+  natpoly no lfp exists and the solver raises `NoConvergence` naming it.
+  Every other variable is zero (outside the support) or comes from one
+  evaluation in the order of the support graph's components.
+* Everything else (truncated series, dualnat, natinf nu, the nu of any
+  other semiring that is not absorptive) keeps the numeric path
+  `_iterate` on the whole system, described below.
+
+The exact paths end with one full application of the system, which must
+reproduce the result (`verified`).  There `iterations` counts the Kleene
+steps made inside cyclic components (summed over components; evaluations
+of acyclic ones do not count) and `saturated` says that an infinite limit
+was used: the infinitary power changed an iterate, or a support cycle was
+set to inf.  `SolverConfig` bounds only the numeric path.
+
+The numeric path starts least fixed points at 0 and greatest fixed points
+at the top element (which for truncated power-series semirings depends on
+the token alphabet).  When plain iteration does not stabilize within the
+budget, it keeps iterating while capping runaway values after every step
+(the capping is applied only to variables that are still moving, so values
+that already settled are never touched), and finally verifies the result
+by one exact application of the system.
 
 Each step is a Jacobi step: every equation is applied to the previous
 iterate.  A right-hand side is a function of its dependencies' values
@@ -90,18 +137,24 @@ class EquationSystem:
     def variables(self):
         return list(self.equations)
 
-    def apply(self, assignment, previous=None):
-        """One Jacobi step.  `previous` is the step before, as the pair
-        (assignment it was applied to, output it produced); an equation
+    def apply(self, assignment, previous=None, variables=None):
+        """One Jacobi step on `variables` (default: all of them), whose
+        equations may read any variable of the assignment; the others must
+        not change between steps.  `previous` is the step before, as the
+        pair (assignment it was applied to, output it produced); an equation
         whose dependencies are all unchanged since then reuses that output."""
+        equations = self.equations
+        if variables is None:
+            variables = equations
         changed = None
         if previous is not None:
             before, reused = previous
-            changed = {var for var, value in assignment.items()
-                       if not _unchanged(value, before[var])}
+            changed = {var for var in variables
+                       if not _unchanged(assignment[var], before[var])}
         out = {}
         evaluated = 0
-        for var, rhs in self.equations.items():
+        for var in variables:
+            rhs = equations[var]
             if rhs[0] == "const":
                 out[var] = rhs[1]
                 continue
@@ -309,70 +362,199 @@ def _lfp_support(system):
     return support
 
 
-def _support_cycle_variable(system):
-    """A variable of the lfp support on a cycle of support variables (one
-    reached through nonzero coefficients only), or None when there is none."""
-    zero = system.handle.zero
-    support = _lfp_support(system)
-    succ = {
-        var: [dep for coeff, dep in rhs[1] if coeff != zero and dep in support]
-        for var, rhs in system.equations.items()
-        if var in support and rhs[0] != "const"
-    }
-    state = {}  # 1 while on the depth-first path, 2 when finished
-    for root in succ:
-        if root in state:
+def _components(successors):
+    """The strongly connected components of the graph var -> successors[var]
+    (every successor is itself a key), by Tarjan's algorithm with an
+    explicit stack, and the first variable the search found on a cycle (the
+    target of its first edge back into the current search path; None when
+    the graph has no cycle).  Each component is a list that starts with the
+    variable the search reached first, and comes after every component it
+    reaches, so solving them in this order sees every dependency solved."""
+    index = {}
+    low = {}
+    stack = []
+    on_stack = set()
+    components = []
+    first_on_cycle = None
+    for root in successors:
+        if root in index:
             continue
-        state[root] = 1
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            var, deps = stack[-1]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        path = [(root, iter(successors[root]))]
+        while path:
+            var, deps = path[-1]
             for dep in deps:
-                if state.get(dep) == 1:
-                    return dep
-                if dep not in state:
-                    state[dep] = 1
-                    stack.append((dep, iter(succ.get(dep, ()))))
+                if dep not in index:
+                    index[dep] = low[dep] = len(index)
+                    stack.append(dep)
+                    on_stack.add(dep)
+                    path.append((dep, iter(successors[dep])))
                     break
+                if dep in on_stack:
+                    # The first such edge leads back into the search path: a
+                    # vertex on the stack but off the path has a smaller
+                    # low link only through an earlier edge of this kind.
+                    if first_on_cycle is None:
+                        first_on_cycle = dep
+                    if index[dep] < low[var]:
+                        low[var] = index[dep]
             else:
-                state[var] = 2
-                stack.pop()
-    return None
+                path.pop()
+                if path and low[var] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[var]
+                if low[var] == index[var]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == var:
+                            break
+                    component.reverse()
+                    components.append(component)
+    return components, first_on_cycle
+
+
+def _is_cyclic(component, successors):
+    return len(component) > 1 or component[0] in successors[component[0]]
+
+
+def _kleene_steps(system, values, component, limit):
+    """Up to `limit` incremental Jacobi steps on the component's equations,
+    written into `values`, stopping when an iterate repeats.  Returns the
+    number of steps and whether the last one repeated its input."""
+    previous = None
+    for step in range(1, limit + 1):
+        current = {var: values[var] for var in component}
+        out = system.apply(values, previous, component)
+        if all(_unchanged(out[var], current[var]) for var in component):
+            return step, True
+        values.update(out)
+        previous = (current, out)
+    return limit, False
+
+
+def _absorptive_fixpoint(system, start, descending):
+    """Exact lfp (from start = 0) or gfp (from start = top) of a system over
+    an absorptive semiring, one strongly connected component at a time (see
+    the module docstring).  Returns (values, iterations, saturated)."""
+    handle = system.handle
+    successors = {var: [dep for _, dep in rhs[1]] if rhs[0] != "const" else ()
+                  for var, rhs in system.equations.items()}
+    values = dict.fromkeys(system.equations)
+    iterations = 0
+    saturated = False
+    for component in _components(successors)[0]:
+        if not _is_cyclic(component, successors):
+            var = component[0]
+            if system.equations[var][0] != "const":
+                system.evaluations += 1
+            values[var] = system.evaluate(var, values)
+            continue
+        n = len(component)
+        values.update(dict.fromkeys(component, start))
+        if descending:
+            steps, repeated = _kleene_steps(system, values, component, n)
+            iterations += steps
+            if repeated:
+                continue
+            for var in component:
+                value = values[var]
+                values[var] = handle.pow_inf(value)
+                saturated = saturated or not _unchanged(values[var], value)
+        steps, repeated = _kleene_steps(system, values, component, n + 1)
+        iterations += steps
+        if not repeated:
+            raise ProvError(
+                f"no fixed point after {n + 1} steps on a component of {n} variables "
+                f"containing {component[0]!r}; equation system is outside the supported "
+                f"fragment for {handle.name}"
+            )
+    return values, iterations, saturated
+
+
+def _support_lfp(system):
+    """Exact lfp in a positive semiring that is not idempotent (see
+    `kleene_lfp`).  Returns (values, saturated)."""
+    handle = system.handle
+    zero = handle.zero
+    support = _lfp_support(system)
+    successors = {
+        var: [dep for coeff, dep in rhs[1] if coeff != zero and dep in support]
+        if rhs[0] != "const" else ()
+        for var, rhs in system.equations.items() if var in support
+    }
+    components, on_cycle = _components(successors)
+    if on_cycle is not None and not handle.flags.omega_continuous:
+        raise NoConvergence(
+            f"no least fixed point: {on_cycle!r} is nonzero and lies on a cycle of "
+            f"nonzero variables, so its value grows without bound in {handle.name}"
+        )
+    values = dict.fromkeys(system.equations, zero)
+    for component in components:
+        if _is_cyclic(component, successors):
+            values.update(dict.fromkeys(component, handle.top))
+            continue
+        var = component[0]
+        if system.equations[var][0] != "const":
+            system.evaluations += 1
+        values[var] = system.evaluate(var, values)
+    return values, on_cycle is not None
+
+
+def _exact_result(system, values, iterations, saturated, evaluated_before):
+    """The SolveResult of an exact method, after one full application of
+    the system has reproduced the values."""
+    out = system.apply(values)
+    for var, value in values.items():
+        if not _unchanged(out[var], value):
+            raise ProvError(f"exact solution is not a fixed point at {var!r}")
+    return SolveResult(values, iterations, saturated=saturated, verified=True,
+                       evaluations=system.evaluations - evaluated_before)
 
 
 def kleene_lfp(system, config=None):
-    """Least fixed point by ascending Kleene iteration from 0.
+    """Least fixed point, exact where the semiring allows (see the module
+    docstring), otherwise by ascending Kleene iteration from 0.
 
-    In nat and natpoly (the semirings that are positive, not idempotent and
-    not omega-continuous) the lfp does not exist when a variable x of its
-    support lies on a cycle of support variables, so that case fails at
-    once.  Such a cycle contains a sum (a cycle of products never becomes
-    nonzero), and a derivation tree of x can go round it any number of
-    times, so x has infinitely many derivation trees, all with nonzero
-    values.  The k-th Kleene iterate at x is the sum of the values of its
-    trees of height at most k; mapping every token to 1 (a homomorphism onto
-    N that keeps nonzero values nonzero) turns these sums into unbounded
-    natural numbers.  Every fixed point lies above every iterate, and values
-    bounded in the natural order have bounded coefficient sums, so no fixed
-    point exists.
+    In a positive semiring (no zero sums, no zero divisors) that is not
+    idempotent (nat, natpoly, natinf) a variable x of the lfp support on a
+    cycle of support variables has no finite value.  Such a cycle contains
+    a sum (a cycle of products never becomes nonzero), and a derivation tree
+    of x can go round it any number of times, so x has infinitely many
+    derivation trees, all with nonzero values.  The k-th Kleene iterate at x
+    is the sum of the values of its trees of height at most k; mapping every
+    token to 1 (a homomorphism onto N that keeps nonzero values nonzero)
+    turns these sums into unbounded natural numbers.  So in natinf the
+    iterates at x climb to inf, while in nat and natpoly no fixed point
+    exists: every fixed point lies above every iterate, and values bounded
+    in the natural order have bounded coefficient sums.
+
+    dualnat keeps the numeric path and its budget.  Complementary tokens
+    multiply to 0 there (p * ~p = 0), so it is not positive: a product of
+    nonzero values can vanish, the trees that go round a cycle of nonzero
+    variables may all have value 0, and the support argument above does not
+    apply as it stands.
     """
-    config = config or SolverConfig()
-    flags = system.handle.flags
-    if flags.positive and not (flags.omega_continuous or flags.idempotent_add):
-        var = _support_cycle_variable(system)
-        if var is not None:
-            raise NoConvergence(
-                f"no least fixed point: {var!r} is nonzero and lies on a cycle of "
-                f"nonzero variables, so its value grows without bound in "
-                f"{system.handle.name}"
-            )
-    start = {var: system.handle.zero for var in system.equations}
-    return _iterate(system, start, "lfp", config)
+    handle = system.handle
+    flags = handle.flags
+    evaluated_before = system.evaluations
+    if flags.absorptive:
+        values, iterations, saturated = _absorptive_fixpoint(system, handle.zero, False)
+    elif flags.positive and not flags.idempotent_add:
+        values, saturated = _support_lfp(system)
+        iterations = 0
+    else:
+        start = {var: handle.zero for var in system.equations}
+        return _iterate(system, start, "lfp", config or SolverConfig())
+    return _exact_result(system, values, iterations, saturated, evaluated_before)
 
 
 def kleene_gfp(system, config=None):
-    """Greatest fixed point by descending iteration from the top element."""
-    config = config or SolverConfig()
+    """Greatest fixed point: the closed form of the module docstring in an
+    absorptive semiring, otherwise descending iteration from the top."""
     handle = system.handle
     if not handle.flags.fully_omega_continuous:
         raise NotFullyOmegaContinuous(
@@ -384,8 +566,12 @@ def kleene_gfp(system, config=None):
         top = handle.top_for_tokens(system.tokens())
     else:
         raise NotFullyOmegaContinuous(f"no top element for semiring {handle.name!r}")
+    if handle.flags.absorptive:
+        evaluated_before = system.evaluations
+        values, iterations, saturated = _absorptive_fixpoint(system, top, True)
+        return _exact_result(system, values, iterations, saturated, evaluated_before)
     start = {var: top for var in system.equations}
-    return _iterate(system, start, "gfp", config)
+    return _iterate(system, start, "gfp", config or SolverConfig())
 
 
 def solve_game(game, basic, fixpoint="mu", config=None):

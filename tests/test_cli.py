@@ -243,6 +243,20 @@ def test_eval_game_on_long_chain(capsys, tmp_path):
     assert sorted(out.splitlines()) == sorted(f"v{i}: t" for i in range(n))
 
 
+def test_census_on_long_chain(capsys, tmp_path):
+    n = 1500
+    lines = [f"position p{i} player{i % 2}" for i in range(n)] + [f"position p{n} terminal"]
+    lines += [f"move p{i} p{i + 1}" for i in range(n)]
+    path = tmp_path / "chain.game"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "census", str(path), "--from", "p0", "--player", "0")
+    if code == 3:
+        assert out == "" and err.count("\n") == 1 and "max_nodes" in err
+    else:
+        assert (code, err) == (0, "")
+        assert out == f"strategies: 1\nstrategy: p{n} [dominant]\n"
+
+
 def test_exit_semantic_on_bad_census_root(capsys):
     code, _, err = run(capsys, "census", REACH, "--from", "nope")
     assert code == 3

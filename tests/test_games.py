@@ -183,6 +183,66 @@ def test_enumeration_budget_on_cyclic_game():
         acyclic_valuation(g, basic)
 
 
+def recursive_strategy_node_sets(game, player, root, max_nodes):
+    """The node sets of enumerate_strategies as its recursive expansion
+    produced them, with the same node budget."""
+    budget = [max_nodes]
+
+    def expand(path):
+        v = path[-1]
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BudgetExceeded(f"strategy enumeration exceeded {max_nodes} nodes")
+        if game.is_terminal(v):
+            return [[path]]
+        if game.owner(v) == player:
+            result = []
+            for w in game.successors(v):
+                for sub in expand(path + (w,)):
+                    result.append([path] + sub)
+            return result
+        parts = [[path]]
+        for w in game.successors(v):
+            subs = expand(path + (w,))
+            parts = [acc + sub for acc in parts for sub in subs]
+        return parts
+
+    return expand((root,))
+
+
+def test_enumeration_matches_recursive_expansion():
+    rng = make_rng(salt=13)
+    compared = exceeded = several = 0
+    for _ in range(200):
+        g = random_acyclic_game(rng, max_positions=12) if rng.random() < 0.8 \
+            else random_cyclic_game(rng, max_positions=6)
+        player, root = rng.randint(0, 1), sorted(g.owners)[0]
+        max_nodes = rng.choice((5, 40, 100_000 if g.is_acyclic() else 300))
+        try:
+            expected = [Strategy.from_paths(player, root, node_set, g) for node_set in
+                        recursive_strategy_node_sets(g, player, root, max_nodes)]
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded, match=str(exc)):
+                enumerate_strategies(g, player, root, max_nodes)
+            exceeded += 1
+            continue
+        assert enumerate_strategies(g, player, root, max_nodes) == expected
+        compared += 1
+        several += len(expected) > 2
+    assert compared > 60 and exceeded > 20 and several > 20
+
+
+def test_enumeration_of_long_chain():
+    n = 1500
+    owners = {f"p{i}": i % 2 for i in range(n)}
+    owners[f"p{n}"] = TERMINAL
+    g = GameGraph(owners, [(f"p{i}", f"p{i + 1}") for i in range(n)])
+    (s,) = enumerate_strategies(g, 0, "p0")
+    assert s.outcome_counts(g) == {f"p{n}": 1} and len(s.paths) == n + 1
+    with pytest.raises(BudgetExceeded, match="exceeded 1000 nodes"):
+        enumerate_strategies(g, 0, "p0", max_nodes=1000)
+
+
 def test_truncated_strategy_values():
     si = get_semiring("sorpinf")
     g = reach_game()

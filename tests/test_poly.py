@@ -216,6 +216,42 @@ def test_cap_coefficients_matches_rebuild(p, threshold):
     assert capped == rebuilt and capped.truncated == rebuilt.truncated
 
 
+def reference_pow_inf(handle, a):
+    """PolySemiring.pow_inf of the antichain kinds with inf exponents as it
+    was before the closed form: multiply by a until the exponents, capped
+    to inf at a threshold, stop changing, then check that v * a == v."""
+    if a.is_zero or a == handle.one:
+        return a
+    finite_total = sum(e for m in a.monos for _, e in m if e is not INF)
+    threshold = 2 * finite_total + 4
+    for _ in range(2):
+        v = a
+        for _ in range(4 * threshold + 8):
+            nxt = (v * a).cap_exponents(threshold)
+            if nxt == v:
+                break
+            v = nxt
+        if v * a == v:
+            return v
+        threshold *= 2
+    raise AssertionError("the reference power chain did not stabilize")
+
+
+@pytest.mark.parametrize("kind", (SORPINF, SORPINFDUAL), ids=lambda k: k.name)
+def test_pow_inf_closed_form_matches_power_chain(kind):
+    handle = PolySemiring(kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(marked_polys(kind))
+    def check(a):
+        got = handle.pow_inf(a)
+        expected = reference_pow_inf(handle, a)
+        assert got == expected and got.truncated == expected.truncated
+        assert got * a == got
+
+    check()
+
+
 def kernel_polys(kind):
     """Canonical values with INF exponents and coefficients where the kind
     admits them, `~` tokens, truncated markers, and often one monomial."""

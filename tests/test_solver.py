@@ -1,5 +1,6 @@
 """Fixpoint solver: paper regressions, truncation coherence, saturation."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -166,11 +167,13 @@ def test_solve_game_rejects_unknown_mode():
 
 
 def test_max_iter_override_surfaces_no_convergence():
-    ni = get_semiring("natinf")
-    basic = BasicValuation(ni, 0, {"s": 1, "t": 1})
-    with pytest.raises(NoConvergence):
+    # natinf mu now has the exact answer inf here; dualnat mu keeps the
+    # numeric path, whose budget the override sets.
+    dualnat = get_semiring("dualnat")
+    basic = token_valuation(reach_game(), dualnat)
+    with pytest.raises(NoConvergence, match="final threshold=4"):
         solve_game(reach_game(), basic, "mu",
-                   SolverConfig(max_iterations=1, saturation_threshold=10**9))
+                   SolverConfig(max_iterations=1, saturation_threshold=1))
 
 
 # --- incremental steps against full evaluation ----------------------------
@@ -218,9 +221,14 @@ def _reference_blown_up(handle, values, cap, direction):
         return False
 
 
-def _reference_iterate(system, start, direction, config):
+class _OutOfTime(Exception):
+    pass
+
+
+def _reference_iterate(system, start, direction, config, deadline=None):
     """The solver loop with every step a full evaluation and the blow-up
-    check on every value."""
+    check on every value; past the perf_counter deadline, if one is given,
+    it raises _OutOfTime."""
     handle = system.handle
     n = len(system.equations)
     max_iter = config.iterations_for(n)
@@ -230,6 +238,7 @@ def _reference_iterate(system, start, direction, config):
     current = dict(start)
     iterations = 0
     for _ in range(max_iter):
+        _check_deadline(deadline)
         nxt = _reference_apply(system, current)
         iterations += 1
         for var in current:
@@ -249,6 +258,7 @@ def _reference_iterate(system, start, direction, config):
     for attempt in range(2):
         state = dict(current)
         for _ in range(min(max_iter + threshold * n, 100_000)):
+            _check_deadline(deadline)
             nxt = _reference_apply(system, state)
             iterations += 1
             moving = {var for var in state if nxt[var] != state[var]}
@@ -273,16 +283,27 @@ def _reference_iterate(system, start, direction, config):
     )
 
 
-def _reference_solve(system, fixpoint):
+def _check_deadline(deadline):
+    if deadline is not None and time.perf_counter() > deadline:
+        raise _OutOfTime
+
+
+def _reference_start(system, fixpoint):
     handle = system.handle
     if fixpoint == "mu":
-        start = handle.zero
-    elif handle.top is not None:
-        start = handle.top
-    else:
-        start = handle.top_for_tokens(system.tokens())
+        return handle.zero
+    if handle.top is not None:
+        return handle.top
+    return handle.top_for_tokens(system.tokens())
+
+
+def _reference_solve(system, fixpoint, deadline=None):
+    """The numeric solver as it was before fixed points were solved exactly
+    per component: Kleene iteration, then saturation, on the whole system."""
+    start = _reference_start(system, fixpoint)
     return _reference_iterate(system, {var: start for var in system.equations},
-                              "lfp" if fixpoint == "mu" else "gfp", SolverConfig())
+                              "lfp" if fixpoint == "mu" else "gfp", SolverConfig(),
+                              deadline)
 
 
 def _outcome(solve):
@@ -321,12 +342,14 @@ def _solver_valuation(rng, game, handle, selector, fixpoint, player):
         return BasicValuation(handle, player, f)
     if isinstance(handle, PolySemiring):
         return token_valuation(game, handle, player)
-    if selector == "viterbi" and fixpoint == "nu":
-        # Descending through a product on a cycle, exact fractions other
-        # than 0 and 1 grow in length geometrically and never reach the
-        # limit, so such a solve does not end in a test's time.
-        return random_basic_valuation(rng, game, handle, player, pool=[Fraction(1)])
+    # Full sample pools with move weights: inf constants, and viterbi
+    # fractions on cycles (F9), which the numeric path may not finish.
     return random_basic_valuation(rng, game, handle, player)
+
+
+# The (semiring, fixpoint) pairs of INCREMENTAL_SEMIRINGS that the solver
+# leaves on the numeric path `_iterate`; the others are solved exactly.
+NUMERIC_PATH = {("natinf", "nu"), ("series:4", "mu"), ("series:4", "nu")}
 
 
 def test_incremental_solver_matches_full_evaluation():
@@ -337,8 +360,8 @@ def test_incremental_solver_matches_full_evaluation():
     for selector in INCREMENTAL_SEMIRINGS:
         handle = get_semiring(selector)
         for fixpoint in ("mu", "nu"):
-            if fixpoint == "nu" and not handle.flags.fully_omega_continuous:
-                continue
+            if (selector, fixpoint) not in NUMERIC_PATH:
+                continue  # test_exact_solver_matches_reference covers these
             for game in corpus:
                 basic = _solver_valuation(rng, game, handle, selector, fixpoint,
                                          rng.randint(0, 1))
@@ -347,27 +370,17 @@ def test_incremental_solver_matches_full_evaluation():
                 got = _outcome(lambda: solve_game(game, basic, fixpoint))
                 assert got == expected, (selector, fixpoint, game.owners)
                 compared += 1
-    assert compared == 15 * len(corpus)
-
-
-def test_incremental_solver_f3_f4_outcomes_unchanged():
-    f3 = GameGraph({"v": 0, "t": TERMINAL}, [("v", "t")])
-    f4 = GameGraph({"v": 0, "w": 0, "t": TERMINAL}, [("v", "w"), ("w", "v"), ("v", "t")])
-    natinf, tropical = get_semiring("natinf"), get_semiring("tropical")
-    for game, basic, fixpoint in (
-        (f3, BasicValuation(natinf, 0, {"t": 2 ** 21}), "mu"),
-        (f4, BasicValuation(tropical, 0, {"t": Fraction(100)}, {("w", "v"): Fraction(1)}),
-         "nu"),
-    ):
-        system = build_system(game, basic)
-        expected = _outcome(lambda: _reference_solve(system, fixpoint))
-        assert expected[0] is NoConvergence
-        assert _outcome(lambda: solve_game(game, basic, fixpoint)) == expected
+    assert compared == len(NUMERIC_PATH) * len(corpus)
 
 
 def test_incremental_steps_skip_unchanged_equations():
+    # series:4 stays on the numeric path.  The odd terminals are worth 1, so
+    # the cycle has a constant term, its coefficients grow without bound
+    # and the saturation phase pins them to inf.
+    series = get_semiring("series:4")
     game = alternating_cycle_game(8)
-    system = build_system(game, token_valuation(game, SORPINF))
+    f = {f"t{i}": series.one if i % 2 else series.token(f"t{i}") for i in range(8)}
+    system = build_system(game, BasicValuation(series, 0, f))
     calls = []
     full_apply = system.apply
 
@@ -376,7 +389,7 @@ def test_incremental_steps_skip_unchanged_equations():
         return full_apply(*args)
 
     system.apply = counting_apply
-    result = kleene_gfp(system)
+    result = kleene_lfp(system)
     non_constant = [(var, {dep for _, dep in rhs[1]})
                     for var, rhs in system.equations.items() if rhs[0] != "const"]
     assert result.saturated and result.iterations == 274
@@ -394,7 +407,182 @@ def test_incremental_steps_skip_unchanged_equations():
                    if mark != before[var]}
         expected += sum(bool(deps & changed) for _, deps in non_constant)
     assert result.evaluations == expected
-    assert result.values == _reference_solve(system, "nu").values
+    assert result.values == _reference_solve(system, "mu").values
+
+
+# --- exact fixed points per strongly connected component ------------------
+
+
+def _assert_verified_fixpoint(system, result, fixpoint):
+    """The result is a fixed point, and a gfp lies at or below f^n(top)."""
+    assert result.verified
+    assert _reference_apply(system, result.values) == result.values
+    if fixpoint == "nu":
+        bound = dict.fromkeys(system.equations, _reference_start(system, "nu"))
+        for _ in system.equations:
+            bound = _reference_apply(system, bound)
+        assert all(system.handle.leq(x, bound[var]) for var, x in result.values.items())
+
+
+def test_exact_solver_matches_reference():
+    """Where the numeric reference converges, the exact solver gives the
+    same values, markers and `verified`; where it fails or runs out of
+    time, the exact result is still a verified fixed point.  `saturated`
+    may differ only one way: the exact solver used an infinite limit (an
+    inf-power that changed an iterate, or inf on a support cycle) where
+    plain iteration happened to reach the same values within the
+    reference's budget."""
+    rng = make_rng(salt=37)
+    corpus = [random_cyclic_game(rng, max_positions=8) for _ in range(40)]
+    corpus += [alternating_cycle_game(n) for n in (2, 4, 6, 8)]
+    agreed = flag_differs = reference_failed = 0
+    for selector in INCREMENTAL_SEMIRINGS:
+        handle = get_semiring(selector)
+        for fixpoint in ("mu", "nu"):
+            if fixpoint == "nu" and not handle.flags.fully_omega_continuous:
+                continue
+            for game in corpus:
+                basic = _solver_valuation(rng, game, handle, selector, fixpoint,
+                                          rng.randint(0, 1))
+                system = build_system(game, basic)
+                got = solve_game(game, basic, fixpoint)
+                _assert_verified_fixpoint(system, got, fixpoint)
+                try:
+                    expected = _reference_solve(system, fixpoint,
+                                                time.perf_counter() + 0.5)
+                except (_OutOfTime, NoConvergence):
+                    reference_failed += 1
+                    continue
+                case = (selector, fixpoint, game.owners, game.moves)
+                assert got.values == expected.values, case
+                assert _reference_fingerprint(got.values) == \
+                    _reference_fingerprint(expected.values), case
+                assert got.verified == expected.verified, case
+                if got.saturated == expected.saturated:
+                    agreed += 1
+                    continue
+                assert got.saturated and not expected.saturated, case
+                assert (selector, fixpoint) not in NUMERIC_PATH, case
+                flag_differs += 1
+    assert agreed > 20 * flag_differs
+    assert agreed + flag_differs + reference_failed == 15 * len(corpus)
+
+
+def test_natinf_lfp_of_a_large_constant_is_exact():
+    # F3: the blow-up cap of the numeric path used to end this in
+    # NoConvergence; the support path evaluates it once.
+    f3 = GameGraph({"v": 0, "t": TERMINAL}, [("v", "t")])
+    natinf = get_semiring("natinf")
+    result = solve_game(f3, BasicValuation(natinf, 0, {"t": 2 ** 21}), "mu")
+    assert result.values == {"v": 2097152, "t": 2097152}
+    assert result.verified and not result.saturated
+
+
+def test_tropical_gfp_with_a_costly_cycle_is_exact():
+    # F4: v = min(w, 100), w = 1 + v has the single fixed point v=100,
+    # w=101, which descending iteration from 0 reaches only after 100 steps.
+    f4 = GameGraph({"v": 0, "w": 0, "t": TERMINAL}, [("v", "w"), ("w", "v"), ("v", "t")])
+    tropical = get_semiring("tropical")
+    basic = BasicValuation(tropical, 0, {"t": Fraction(100)}, {("w", "v"): Fraction(1)})
+    result = solve_game(f4, basic, "nu")
+    assert result.values == {"v": 100, "w": 101, "t": 100}
+    assert result.verified and result.saturated
+
+
+def test_viterbi_gfp_with_fractions_on_a_cycle_ends():
+    # F9: the 5-position game of the make_rng(salt=31) corpus at the default
+    # seed, valued for player 1.  Descending iteration multiplies exact
+    # fractions whose length grows every step and never reaches the limit.
+    game = GameGraph(
+        {"n0": 0, "n1": 1, "n2": 0, "n3": 0, "n4": TERMINAL},
+        [("n0", "n1"), ("n0", "n3"), ("n1", "n3"), ("n1", "n0"), ("n2", "n3"),
+         ("n3", "n2"), ("n3", "n0")],
+    )
+    viterbi = get_semiring("viterbi")
+    h = {("n0", "n3"): Fraction(3, 4), ("n2", "n3"): Fraction(1, 2),
+         ("n3", "n2"): Fraction(1, 2), ("n3", "n0"): Fraction(1)}
+    basic = BasicValuation(viterbi, 1, {"n4": Fraction(1)}, h)
+    system = build_system(game, basic)
+    with pytest.raises(_OutOfTime):
+        _reference_solve(system, "nu", time.perf_counter() + 0.5)
+    start = time.perf_counter()
+    result = solve_game(game, basic, "nu")
+    assert time.perf_counter() - start < 1.0
+    _assert_verified_fixpoint(system, result, "nu")
+    assert result.values == {"n0": 0, "n1": 0, "n2": 0, "n3": 0, "n4": 1}
+
+
+def _cycle_gfp_at_v0(handle, n):
+    """ROADMAP F1's closed form: t0 + t1*t2 + t1*t3*t4 + ... plus the
+    infinite play t1^inf * t3^inf * ... * t(n-1)^inf."""
+    value = handle.token("t0")
+    odd = handle.one
+    for k in range(1, n - 1, 2):
+        odd = odd * handle.token(f"t{k}")
+        value = value + odd * handle.token(f"t{k + 1}")
+    odd = odd * handle.token(f"t{n - 1}")
+    return value + handle.pow_inf(odd)
+
+
+@pytest.mark.parametrize("positions", (32, 64, 128))
+def test_sorpinf_gfp_of_cycle_games_takes_linearly_many_steps(positions):
+    n = positions // 2
+    game = alternating_cycle_game(n)
+    system = build_system(game, token_valuation(game, SORPINF))
+    component_steps = []
+    full_apply = system.apply
+
+    def counting_apply(assignment, previous=None, variables=None):
+        if variables is not None:
+            component_steps.append(len(variables))
+        return full_apply(assignment, previous, variables)
+
+    system.apply = counting_apply
+    result = kleene_gfp(system)
+    # One cyclic component, the n cycle positions; the terminals are constants.
+    assert set(component_steps) == {n}
+    assert len(component_steps) == result.iterations <= 2 * (n + 1)
+    assert result.verified and result.saturated
+    assert result["v0"] == _cycle_gfp_at_v0(SORPINF, n)
+
+
+def test_a_self_loop_is_a_cycle():
+    # x = s + t*x: one variable whose equation reads itself.
+    for selector, mu, nu in (("sorpinf", "s", "s + t^inf"), ("natinf", "inf", "inf"),
+                             ("tropical", "2", "2")):
+        handle = get_semiring(selector)
+        if selector == "sorpinf":
+            s, t = handle.token("s"), handle.token("t")
+        else:
+            s, t = handle.parse_value("2"), handle.parse_value("1")
+        system = EquationSystem(handle, {"x": ("sum", [(s, "one"), (t, "x")]),
+                                         "one": ("const", handle.one)})
+        lfp, gfp = kleene_lfp(system), kleene_gfp(system)
+        assert handle.format_value(lfp["x"]) == mu, selector
+        assert handle.format_value(gfp["x"]) == nu, selector
+        assert lfp.verified and gfp.verified
+
+
+def test_components_come_after_their_dependencies():
+    from provgames.solver import _components
+
+    successors = {"r": ["x"], "x": ["b"], "b": ["x", "c"], "c": ["d"], "d": ["c"],
+                  "e": ["e"], "f": []}
+    components, first_on_cycle = _components(successors)
+    assert sorted(map(sorted, components)) == [["b", "x"], ["c", "d"], ["e"], ["f"], ["r"]]
+    position = {var: i for i, comp in enumerate(components) for var in comp}
+    for var, deps in successors.items():
+        assert all(position[dep] <= position[var] for dep in deps)
+    # The search closes x <- b before it reaches the cycle c <-> d, which
+    # it finishes first.
+    assert components.index(["c", "d"]) < components.index(["x", "b"])
+    assert first_on_cycle == "x"
+    # No recursion: a 5000-long chain and a 5000-long cycle.
+    chain = {i: [i + 1] for i in range(5000)} | {5000: []}
+    assert [len(c) for c in _components(chain)[0]] == [1] * 5001
+    assert _components(chain)[1] is None
+    cycle = {i: [(i + 1) % 5000] for i in range(5000)}
+    assert _components(cycle) == ([list(range(5000))], 0)
 
 
 # --- least fixed points that do not exist ---------------------------------
@@ -453,3 +641,56 @@ def test_nat_lfp_exists_exactly_when_the_natinf_lfp_is_finite():
         else:
             assert solve_game(game, basic, "mu", config).values == limit.values
     assert 10 < fired < 140
+
+
+def _reference_support_cycle_variable(system):
+    """The variable the nat/natpoly fail-fast named before the shared
+    Tarjan: the target of the first edge back into the path of a
+    depth-first search over the support graph."""
+    from provgames.solver import _lfp_support
+
+    zero = system.handle.zero
+    support = _lfp_support(system)
+    succ = {
+        var: [dep for coeff, dep in rhs[1] if coeff != zero and dep in support]
+        for var, rhs in system.equations.items()
+        if var in support and rhs[0] != "const"
+    }
+    state = {}  # 1 while on the depth-first path, 2 when finished
+    for root in succ:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            var, deps = stack[-1]
+            for dep in deps:
+                if state.get(dep) == 1:
+                    return dep
+                if dep not in state:
+                    state[dep] = 1
+                    stack.append((dep, iter(succ.get(dep, ()))))
+                    break
+            else:
+                state[var] = 2
+                stack.pop()
+    return None
+
+
+def test_nat_lfp_names_the_same_cycle_variable_as_before():
+    nat = get_semiring("nat")
+    rng = make_rng(salt=43)
+    named = 0
+    for _ in range(400):
+        game = random_cyclic_game(rng, max_positions=10, max_out=3)
+        basic = random_basic_valuation(rng, game, nat, rng.randint(0, 1), pool=[1, 2])
+        system = build_system(game, basic)
+        var = _reference_support_cycle_variable(system)
+        if var is None:
+            kleene_lfp(system)
+            continue
+        message = re.escape(f"no least fixed point: {var!r} is nonzero")
+        with pytest.raises(NoConvergence, match="^" + message):
+            kleene_lfp(system)
+        named += 1
+    assert named > 50
