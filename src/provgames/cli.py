@@ -59,8 +59,12 @@ def _add_common(sub):
     sub.add_argument("--semiring", default="natpoly",
                      help="semiring selector, e.g. sorpinf, series:4, minmax:a<b<c")
     sub.add_argument("--format", choices=("text", "structured"), default="text")
-    sub.add_argument("--max-iter", type=int, default=None)
-    sub.add_argument("--trunc-degree", type=int, default=None)
+    sub.add_argument("--max-iter", type=int, default=None,
+                     help="first-phase budget of the numeric path (default "
+                          "4*|positions| + 16); no effect on the exact paths")
+    sub.add_argument("--trunc-degree", type=int, default=None,
+                     help="degree bound of a series or seriesdual selector "
+                          "(replaces its D); no effect on other semirings")
     sub.add_argument("--assign", action="append", default=[], metavar="TOK=VALUE",
                      help="specialize polynomial results after solving")
     sub.add_argument("--into", default=None, metavar="SEMIRING",

@@ -11,6 +11,14 @@ m, every INF exponent of m2 is one of m's and every finite one is at most
 m's, so m2 ranks no higher than m, and equal ranks mean m2 == m.  Visiting
 a pool in rank order therefore meets every monomial after all monomials
 that strictly absorb it.
+
+A product of two monomials merges their token-sorted `exps` tuples in one
+pass, the merge step of merge sort: the smaller head token goes first, and a
+token in both operands is written once with the sum of its exponents.  The
+result is sorted by token, has no repeated token and only exponents >= 1 or
+INF, because both operands have these properties; so it is built by the
+trusted constructor `Monomial._canonical`, without the sorting, merging and
+validation of `Monomial.__init__`.
 """
 
 from .infinity import INF, ext_add
@@ -80,22 +88,39 @@ class Monomial:
         """Total degree; INF if any exponent is infinite."""
         total = 0
         for _, e in self.exps:
-            total = ext_add(total, e)
+            total += e  # INF absorbs addition from either side
         return total
 
+    @classmethod
+    def _canonical(cls, exps):
+        """Trusted constructor: `exps` is already sorted by token, with no
+        repeated token and every exponent >= 1 or INF."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "exps", exps)
+        object.__setattr__(mono, "_hash", hash(exps))
+        return mono
+
     def mul(self, other):
-        if not other.exps:
+        right = other.exps
+        if not right:
             return self
-        if not self.exps:
+        left = self.exps
+        if not left:
             return other
-        merged = dict(self.exps)
-        for t, e in other.exps:
-            f = merged.get(t)
-            if f is None:
-                merged[t] = e
+        out = []
+        i, n = 0, len(left)
+        for t, e in right:
+            while i < n and left[i][0] < t:
+                out.append(left[i])
+                i += 1
+            if i < n and left[i][0] == t:
+                f = left[i][1]
+                out.append((t, INF if e is INF or f is INF else e + f))
+                i += 1
             else:
-                merged[t] = INF if e is INF or f is INF else e + f
-        return Monomial(merged)
+                out.append((t, e))
+        out += left[i:]
+        return Monomial._canonical(tuple(out))
 
     def has_complementary_pair(self):
         toks = set(self.tokens())
@@ -183,11 +208,11 @@ def merge_antichains(a, b):
 
 def _degree_sort_key(m):
     d = m.degree()
-    return (
-        1 if d is INF else 0,
-        d if d is not INF else 0,
-        tuple((t, 1 if e is INF else 0, e if e is not INF else 0) for t, e in m.exps),
-    )
+    if d is not INF:
+        # Sorts as the triple form below would: with finite exponents, its
+        # middle entries are all 0.
+        return (0, d, m.exps)
+    return (1, 0, tuple((t, 1 if e is INF else 0, e if e is not INF else 0) for t, e in m.exps))
 
 
 def sort_monomials(monomials):

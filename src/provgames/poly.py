@@ -6,10 +6,10 @@ coefficients, cap exponents, erase complementary pairs, keep an absorption
 antichain, truncate by total degree).  Values are immutable.
 
 Every public construction goes through `_canonicalize` with all its checks.
-Sums and products of two values of one kind take three short cuts, built by
-the trusted constructor `Polynomial._canonical`, because both operands are
-already canonical (canonicalizing a canonical mapping returns it unchanged,
-dict order included):
+Sums and products of two values of one kind are built by the trusted
+constructor `Polynomial._canonical` wherever the operands, being canonical
+already, imply those checks (canonicalizing a canonical mapping returns it
+unchanged, dict order included):
 
 * `a + 0`, `0 + a`, `a * 1` and `1 * a` are `a` itself when the zero or one
   operand is not marked truncated.
@@ -20,16 +20,36 @@ dict order included):
   monomial of the other operand.  Adding finite exponents preserves and
   reflects the absorption order, so the products are again an antichain with
   no duplicates; they are put in rank order.
+* Every other sum (natpoly, dualnat, boolpoly, whypoly, series:D,
+  seriesdual:D) adds b's coefficients into a copy of a; in a kind without
+  coefficients it is the union of the operands' monomials.
+* A product in a kind that is neither an antichain nor multilinear (natpoly,
+  dualnat, boolpoly, series:D, seriesdual:D) multiplies the monomials pair by
+  pair, a's in the outer loop, adding up the coefficients of equal products.
+  It drops a product with a complementary pair and one above the degree
+  bound (and then sets `truncated`), and sets every coefficient to 1 in a
+  kind without coefficients.  These are the checks the operands do not
+  imply.  The other products take the same loop and then `_canonicalize`.
 
-The checks these results skip are implied by the operands.  Complementary
-pairs: a union keeps only monomials of the operands, which have none, and the
-product path drops every product that has one, as `_canonicalize` does.
-Multilinear cap: a union of multilinear monomials is multilinear, and
+The checks these results skip are implied by the operands.  Zero
+coefficients: every coefficient is >= 1 or INF, and so are their sums and
+products.  Complementary pairs: the operands' monomials have none.  So a
+union has none, and a product m1*m2 has one exactly when some token of m2 is
+the negation of a token of m1, which is all the pair loop tests; the
+single-monomial antichain product tests each product, as `_canonicalize`
+does.  Multilinear cap: a union of multilinear monomials is multilinear, and
 multilinear kinds take the general product path.  INF exponents: a union
-introduces none, and a product has one only where an operand of the same
-kind has it.  Coefficients: antichain kinds keep coefficient 1 on every
-monomial, and the identities keep the operand's.  Degree bound: no antichain
-kind has one, and the identities change no monomial.
+introduces none, and a product has one only where an operand of the same kind
+has it.  Coefficients: sums and products of integers and INF are again such;
+antichain kinds keep coefficient 1 on every monomial, a union of monomials
+with coefficient 1 keeps it, and the identities keep the operand's.  Degree
+bound: a union has no monomial above the operands' degrees, and the
+identities change no monomial.  Dict order: apart from the antichain kinds,
+`_canonicalize` keeps the order of the mapping it is given and only drops
+entries.  The sums put a's monomials first and then b's new ones, as the
+general route does, and the coefficient product places each monomial where
+its first pair puts it and drops the same products in place, so both have the
+general route's order.
 """
 
 from dataclasses import dataclass
@@ -175,10 +195,13 @@ class Polynomial:
         if kind.antichain:
             return Polynomial._canonical(
                 kind, dict.fromkeys(merge_antichains(self.monos, other.monos), 1), truncated)
+        if not kind.coefficients:
+            # Every coefficient of either operand is 1.
+            return Polynomial._canonical(kind, {**self.monos, **other.monos}, truncated)
         merged = dict(self.monos)
         for m, c in other.monos.items():
             merged[m] = ext_add(merged.get(m, 0), c)
-        return Polynomial(kind, merged, truncated)
+        return Polynomial._canonical(kind, merged, truncated)
 
     def __mul__(self, other):
         self._check_kind(other)
@@ -199,22 +222,22 @@ class Polynomial:
                     return Polynomial._canonical(
                         kind, dict.fromkeys(rank_sorted(products), 1), truncated)
         out = {}
+        bound = kind.degree_bound
         for m1, c1 in self.monos.items():
+            negated = {negate_token(t) for t, _ in m1.exps} if kind.dual else None
             for m2, c2 in other.monos.items():
+                if negated and not negated.isdisjoint(m2.tokens()):
+                    continue
                 m = m1.mul(m2)
+                if bound is not None and m.degree() > bound:
+                    truncated = True
+                    continue
                 out[m] = ext_add(out.get(m, 0), _coeff_mul(c1, c2))
-        return Polynomial(kind, out, truncated)
-
-    def cap_exponents(self, threshold):
-        """Saturation step: exponents >= threshold become INF (no copy when
-        none is that large)."""
-        if not any(e is not INF and e >= threshold for m in self.monos for _, e in m):
-            return self
-        return Polynomial(
-            self.kind,
-            {m.cap_at(threshold): c for m, c in self.monos.items()},
-            self.truncated,
-        )
+        if kind.antichain or kind.multilinear:
+            return Polynomial(kind, out, truncated)
+        if not kind.coefficients:
+            out = dict.fromkeys(out, 1)
+        return Polynomial._canonical(kind, out, truncated)
 
     def cap_coefficients(self, threshold):
         """Saturation step: coefficients >= threshold become INF (no copy when

@@ -267,8 +267,8 @@ class NatInfSemiring(Semiring):
         return INF
 
     def saturate(self, a, threshold, direction):
-        if direction == "lfp" and a is not INF and a >= threshold:
-            return INF
+        # natinf mu is solved exactly; descending iteration from inf is not
+        # capped.
         return a
 
     def parse_value(self, text):
@@ -320,11 +320,6 @@ class TropicalSemiring(Semiring):
     def pow_inf(self, a):
         return Fraction(0) if a == 0 else INF
 
-    def saturate(self, a, threshold, direction):
-        if direction == "gfp" and a is not INF and a >= threshold:
-            return INF
-        return a
-
     def parse_value(self, text):
         text = text.strip()
         return INF if text == "inf" else Fraction(text)
@@ -364,11 +359,6 @@ class ViterbiSemiring(Semiring):
 
     def pow_inf(self, a):
         return Fraction(1) if a == 1 else Fraction(0)
-
-    def saturate(self, a, threshold, direction):
-        if direction == "gfp":
-            return Fraction(0)
-        return a
 
     def parse_value(self, text):
         return Fraction(text.strip())
@@ -567,12 +557,10 @@ class PolySemiring(Semiring):
         return Polynomial(self.kind, {m.cap_at(1): 1 for m in a.monos}, a.truncated)
 
     def saturate(self, a, threshold, direction):
-        # Exponent growth only happens in descending (gfp) iteration, and
-        # capping an exponent to inf moves *down* in the natural order, so
-        # it must never be applied while ascending.  Coefficient growth is
-        # the ascending phenomenon and inf coefficients sit at the top.
-        if direction == "gfp" and self.kind.inf_exponents:
-            a = a.cap_exponents(threshold)
+        # Coefficient growth is the ascending phenomenon, and inf
+        # coefficients sit at the top.  (Exponent growth happens only in
+        # descending iteration, and the kinds with inf exponents are
+        # absorptive, whose fixed points are solved exactly.)
         if direction == "lfp" and self.kind.inf_coefficients:
             a = a.cap_coefficients(threshold)
         return a

@@ -41,7 +41,7 @@ from provgames.logic import (
     to_nnf,
 )
 from provgames.semirings import get_semiring
-from provgames.solver import SolverConfig, _blown_up
+from provgames.solver import SolverConfig
 
 from genutil import (
     RELS,
@@ -49,6 +49,8 @@ from genutil import (
     random_fo_formula,
     random_interpretation,
     random_poslfp_formula,
+    reference_blown_up,
+    reference_saturate,
 )
 
 BOOL = get_semiring("bool")
@@ -384,7 +386,7 @@ def _reference_direct(pi, sentence, config=None):
             if nxt == g:
                 return g
             g = nxt
-            if _blown_up(handle, g.values(), blowup, "lfp"):
+            if reference_blown_up(handle, g.values(), blowup, "lfp"):
                 break
         for _ in range(2):
             state = dict(g)
@@ -394,7 +396,7 @@ def _reference_direct(pi, sentence, config=None):
                 if not moving:
                     break
                 for args in moving:
-                    nxt[args] = handle.saturate(nxt[args], threshold, "lfp")
+                    nxt[args] = reference_saturate(handle, nxt[args], threshold, "lfp")
                 if nxt == state:
                     break
                 state = nxt

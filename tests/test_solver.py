@@ -20,7 +20,14 @@ from provgames.solver import (
     solve_game,
 )
 
-from genutil import make_rng, random_basic_valuation, random_cyclic_game, token_valuation
+from genutil import (
+    make_rng,
+    random_basic_valuation,
+    random_cyclic_game,
+    reference_blown_up,
+    reference_saturate,
+    token_valuation,
+)
 
 SORPINF = get_semiring("sorpinf")
 
@@ -214,13 +221,6 @@ def _reference_settle(system, assignment):
     return current
 
 
-def _reference_blown_up(handle, values, cap, direction):
-    try:
-        return any(handle.saturate(v, cap, direction) != v for v in values)
-    except NoConvergence:
-        return False
-
-
 class _OutOfTime(Exception):
     pass
 
@@ -253,7 +253,7 @@ def _reference_iterate(system, start, direction, config, deadline=None):
             return SolveResult(current, iterations, saturated=False, verified=True,
                                threshold=threshold)
         current = nxt
-        if not descending and _reference_blown_up(handle, current.values(), blowup, direction):
+        if not descending and reference_blown_up(handle, current.values(), blowup, direction):
             break
     for attempt in range(2):
         state = dict(current)
@@ -265,7 +265,7 @@ def _reference_iterate(system, start, direction, config, deadline=None):
             if not moving:
                 break
             for var in moving:
-                nxt[var] = handle.saturate(nxt[var], threshold, direction)
+                nxt[var] = reference_saturate(handle, nxt[var], threshold, direction)
             if nxt == state:
                 break
             state = nxt
