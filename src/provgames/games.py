@@ -200,7 +200,7 @@ class Strategy:
         return {t: c for t, c in self.position_counts.items() if game.is_terminal(t)}
 
     @classmethod
-    def from_paths(cls, owner, root, paths, game, cutoff_leaves=()):
+    def from_paths(cls, owner, root, paths, game):
         position_counts = {}
         move_counts = {}
         for path in paths:
@@ -208,14 +208,11 @@ class Strategy:
             if len(path) > 1:
                 e = (path[-2], path[-1])
                 move_counts[e] = move_counts.get(e, 0) + 1
-        cutoffs = len(cutoff_leaves)
         return cls(
             owner=owner,
             root=root,
             position_counts=position_counts,
             move_counts=move_counts,
-            admits_infinite=cutoffs > 0,
-            cutoff_count=cutoffs,
             paths=tuple(sorted(paths)),
         )
 

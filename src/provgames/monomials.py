@@ -71,12 +71,6 @@ class Monomial:
     def __iter__(self):
         return iter(self.exps)
 
-    def exponent(self, token):
-        for t, e in self.exps:
-            if t == token:
-                return e
-        return 0
-
     def tokens(self):
         return tuple(t for t, _ in self.exps)
 

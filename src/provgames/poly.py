@@ -152,10 +152,6 @@ class Polynomial:
     def token(cls, kind, name):
         return cls(kind, {Monomial({name: 1}): 1})
 
-    @classmethod
-    def from_monomial(cls, kind, mono, coeff=1):
-        return cls(kind, {mono: coeff})
-
     @property
     def is_zero(self):
         return not self.monos
@@ -346,11 +342,19 @@ def specialize(poly, handle, assignment):
 
 
 def series_geom(numerator, ratio, degree_bound):
-    """numerator * (1 + ratio + ratio^2 + ...) truncated at total degree D.
+    """numerator * (1 + ratio + ratio^2 + ...) truncated at total degree D,
+    in closed form: D+1 Horner steps acc = base + ratio*acc, and every
+    coefficient set to inf when the ratio has a constant term.
 
-    A ratio with a constant term feeds every reachable monomial forever, so
-    the coefficients that are still growing when the degree filter stops
-    producing new monomials are pinned to infinity.
+    Write the ratio as c + r, where c is its constant term.  The steps sum
+    num*ratio^k for k <= D+1, and no term of a higher power adds a monomial:
+
+    * If c = 0, ratio^k has no monomial of degree below k, so the terms with
+      k <= D are the whole sum.
+    * If c != 0, a monomial of num*ratio^k recurs in num*ratio^(k+j) for
+      every j (times c^j, which adds no token), so its coefficient is inf.
+    * In both cases, a monomial of degree <= D takes at most D factors from
+      r, so it occurs in some term with k <= D already.
     """
     kind = trunc_kind(degree_bound, dual=numerator.kind.dual)
     base = Polynomial(kind, dict(numerator.monos), numerator.truncated)
@@ -358,27 +362,10 @@ def series_geom(numerator, ratio, degree_bound):
     if base.is_zero:
         return base
     acc = base
-    budget = 2 * (degree_bound + 2)
-    for _ in range(budget):
-        nxt = base + ratio * acc
-        if nxt == acc:
-            # nxt, not acc: only nxt carries the truncation marker from the
-            # final (dropped) multiplication.
-            return nxt
-        acc = nxt
-    for _ in range(budget):
-        nxt = base + ratio * acc
-        moving = {
-            m for m in set(acc.monos) | set(nxt.monos)
-            if acc.coefficient(m) != nxt.coefficient(m)
-        }
-        if not moving:
-            break
-        acc = Polynomial(
-            kind,
-            {m: (INF if m in moving else c) for m, c in nxt.monos.items()},
-            nxt.truncated,
-        )
+    for _ in range(degree_bound + 1):
+        acc = base + ratio * acc
+    if ONE_MONOMIAL in ratio.monos:
+        return Polynomial(kind, dict.fromkeys(acc.monos, INF), acc.truncated)
     return acc
 
 

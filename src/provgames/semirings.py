@@ -2,7 +2,7 @@
 
 Each handle packages the operations, the natural order in closed form,
 capability flags, text I/O for its values, and the hooks the fixed-point
-solver needs (top element, star, infinite powers, saturation).
+solver needs (top element, star, infinite powers).
 """
 
 from dataclasses import dataclass
@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from .errors import (
     InfExponentUnsupported,
-    NoConvergence,
     NotOmegaContinuous,
     ProvError,
     VariantMismatch,
@@ -134,16 +133,6 @@ class Semiring:
             f"semiring {self.name} does not support infinite exponents"
         )
 
-    def saturate(self, a, threshold, direction):
-        """Saturation policy for non-stabilizing Kleene iteration.
-
-        direction is 'lfp' (ascending) or 'gfp' (descending); the default
-        pins a still-changing value to the corresponding limit element.
-        """
-        raise NoConvergence(
-            f"semiring {self.name} has no saturation policy for {direction}"
-        )
-
     def parse_value(self, text):
         raise NotImplementedError
 
@@ -265,11 +254,6 @@ class NatInfSemiring(Semiring):
         if a == 1:
             return 1
         return INF
-
-    def saturate(self, a, threshold, direction):
-        # natinf mu is solved exactly; descending iteration from inf is not
-        # capped.
-        return a
 
     def parse_value(self, text):
         text = text.strip()
@@ -555,15 +539,6 @@ class PolySemiring(Semiring):
         # (m_1 + ... + m_k)^inf = m_1^inf + ... + m_k^inf, and m^inf sets
         # every exponent of m to inf (see the solver's module docstring).
         return Polynomial(self.kind, {m.cap_at(1): 1 for m in a.monos}, a.truncated)
-
-    def saturate(self, a, threshold, direction):
-        # Coefficient growth is the ascending phenomenon, and inf
-        # coefficients sit at the top.  (Exponent growth happens only in
-        # descending iteration, and the kinds with inf exponents are
-        # absorptive, whose fixed points are solved exactly.)
-        if direction == "lfp" and self.kind.inf_coefficients:
-            a = a.cap_coefficients(threshold)
-        return a
 
     def parse_value(self, text):
         return parse_poly(self.kind, text)

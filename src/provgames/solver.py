@@ -49,11 +49,16 @@ set to inf.  `SolverConfig` bounds only the numeric path.
 
 The numeric path starts least fixed points at 0 and greatest fixed points
 at the top element (which for truncated power-series semirings depends on
-the token alphabet).  When plain iteration does not stabilize within the
-budget, it keeps iterating while capping runaway values after every step
-(the capping is applied only to variables that are still moving, so values
-that already settled are never touched), and finally verifies the result
-by one exact application of the system.
+the token alphabet).  It has one saturation rule, `_cap`: coefficients of
+a truncated series (series:D, seriesdual:D) at or above a threshold become
+inf, and any other value stays as it is; descending iteration caps
+nothing.  Ascending iteration leaves plain iteration early once a value
+would be capped at 2^20 (multiplicative cycles can square values every
+round).  When plain iteration does not stabilize within the budget, it
+keeps iterating while capping the variables that are still moving at the
+threshold 2*|vars| + 2 (values that already settled are never touched),
+doubles the threshold once if that does not settle, and finally verifies
+the result by one exact application of the system.
 
 Each step is a Jacobi step: every equation is applied to the previous
 iterate.  A right-hand side is a function of its dependencies' values
@@ -78,17 +83,11 @@ from .semirings import PolySemiring
 @dataclass
 class SolverConfig:
     max_iterations: int = None  # default 4*|vars| + 16
-    saturation_threshold: int = None  # default 2*|vars| + 2
 
     def iterations_for(self, n_vars):
         if self.max_iterations is not None:
             return self.max_iterations
         return 4 * n_vars + 16
-
-    def threshold_for(self, n_vars):
-        if self.saturation_threshold is not None:
-            return self.saturation_threshold
-        return 2 * n_vars + 2
 
 
 @dataclass
@@ -132,10 +131,6 @@ class EquationSystem:
         first incremental step (one pass of `evaluate` needs none)."""
         return {var: frozenset(dep for _, dep in rhs[1])
                 for var, rhs in self.equations.items() if rhs[0] != "const"}
-
-    @property
-    def variables(self):
-        return list(self.equations)
 
     def apply(self, assignment, previous=None, variables=None):
         """One Jacobi step on `variables` (default: all of them), whose
@@ -221,12 +216,14 @@ def _iterate(system, start, direction, config):
     handle = system.handle
     n = len(system.equations)
     max_iter = config.iterations_for(n)
-    threshold = config.threshold_for(n)
+    threshold = 2 * n + 2
     descending = direction == "gfp"
 
     # Multiplicative cycles can square values every round, so counts would
     # reach astronomical sizes long before max_iter; once anything blows past
-    # this cap we skip straight to the saturation phase.
+    # this cap we skip straight to the saturation phase.  Only the values
+    # that changed in the last step are checked: an unchanged value was
+    # checked in the step before and did not blow up.
     blowup = max(threshold + 1, 1 << 20)
 
     evaluated_before = system.evaluations
@@ -251,7 +248,7 @@ def _iterate(system, start, direction, config):
                                evaluations=system.evaluations - evaluated_before)
         previous = (current, nxt)
         current = nxt
-        if not descending and _blown_up(handle, moved, blowup, direction):
+        if not descending and any(_cap(x, blowup) is not x for x in moved):
             break
 
     # Saturation: keep iterating, but cap values that are still changing.
@@ -270,8 +267,9 @@ def _iterate(system, start, direction, config):
             if not moving:
                 break
             nxt = dict(raw)
-            for var in moving:
-                nxt[var] = handle.saturate(raw[var], threshold, direction)
+            if not descending:
+                for var in moving:
+                    nxt[var] = _cap(raw[var], threshold)
             if nxt == state:
                 break
             previous = (state, raw)
@@ -291,17 +289,13 @@ def _iterate(system, start, direction, config):
     )
 
 
-def _blown_up(handle, values, cap, direction):
-    """True when saturating at cap would change anything (values exploded).
-
-    The solver passes only the values that changed in the last step: an
-    unchanged value was checked in the step before and did not blow up."""
-    try:
-        return any(handle.saturate(v, cap, direction) != v for v in values)
-    except NoConvergence:
-        # No saturation policy means no way to cap; let iteration run its
-        # full budget and report divergence through the usual path.
-        return False
+def _cap(value, threshold):
+    """The numeric path's one saturation rule: the coefficients >= threshold
+    of a truncated series become inf (the value itself when there are none);
+    any other value is its own limit."""
+    if isinstance(value, Polynomial) and value.kind.inf_coefficients:
+        return value.cap_coefficients(threshold)
+    return value
 
 
 def _unchanged(a, b):

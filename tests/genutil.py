@@ -13,6 +13,7 @@ from provgames.games import TERMINAL, BasicValuation, GameGraph
 from provgames.infinity import INF
 from provgames.logic import And, Atom, Eq, Fp, KInterpretation, Not, Or, Quant
 from provgames.poly import Polynomial
+from provgames.semirings import NatInfSemiring, PolySemiring
 
 DEFAULT_SEED = 20240817
 
@@ -199,10 +200,12 @@ def cap_exponents(p, threshold):
 
 
 def reference_saturate(handle, a, threshold, direction):
-    """`handle.saturate` as it was while every fixed point went through
-    Kleene iteration and saturation.  The solver no longer reaches these
-    policies: tropical and viterbi gfp, natinf lfp, and gfp of the kinds
-    with inf exponents are solved exactly."""
+    """The `saturate` hook of the semiring handles as it was while every
+    fixed point went through Kleene iteration and saturation.  The solver
+    no longer reaches most of these policies: tropical and viterbi gfp,
+    natinf lfp, and gfp of the kinds with inf exponents are solved exactly,
+    and its one remaining rule caps the coefficients of truncated series in
+    lfp.  A semiring without a policy raised NoConvergence."""
     if direction == "gfp":
         if handle.name == "tropical":
             return INF if a is not INF and a >= threshold else a
@@ -212,7 +215,15 @@ def reference_saturate(handle, a, threshold, direction):
             return cap_exponents(a, threshold)
     elif handle.name == "natinf":
         return INF if a is not INF and a >= threshold else a
-    return handle.saturate(a, threshold, direction)
+    if isinstance(handle, PolySemiring):
+        if direction == "lfp" and handle.kind.inf_coefficients:
+            return a.cap_coefficients(threshold)
+        return a
+    if isinstance(handle, NatInfSemiring):
+        return a
+    raise NoConvergence(
+        f"semiring {handle.name} has no saturation policy for {direction}"
+    )
 
 
 def reference_blown_up(handle, values, cap, direction):

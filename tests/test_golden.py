@@ -2,19 +2,23 @@
 exit code, stdout and stderr byte for byte with `tests/golden/cli.txt`.
 
 The commands are `eval-game` (default mode, `--fixpoint mu`, `--fixpoint nu`)
-and `solve-system --format structured` (mu and nu) on every
-`fixtures/*.game`, over each semiring in SEMIRINGS, and `eval-formula
---model-default` in each of its three modes on every `fixtures/*.formula`
-(transitive closure, a nested lfp whose inner body uses the outer relation,
-a first-order sentence with negation), over each semiring in
-FORMULA_SEMIRINGS: the numeric ones read `fixtures/graph.interp`, the
-polynomial ones `fixtures/graph-tokens.interp`, the same graph with one
+and `solve-system --format structured` (mu and nu) on every game fixture
+but `pump.game`, over each semiring in SEMIRINGS and MORE_SEMIRINGS, and
+`eval-formula --model-default` in each of its three modes on every
+`fixtures/*.formula` (transitive closure, a nested lfp whose inner body uses
+the outer relation, a first-order sentence with negation), over each
+semiring in FORMULA_SEMIRINGS: the numeric ones read `fixtures/graph.interp`,
+the polynomial ones `fixtures/graph-tokens.interp`, the same graph with one
 token per literal.  natpoly and dualnat are left out of the formula
 commands: the graph's cycle has no least fixed point there, and when these
 entries were recorded `--mode direct` in both, and `--mode game` in
-dualnat, ran past 15 s on `tc.formula` without an answer.  To record
-the current behaviour as the new snapshot (only when a change of output is
-intended):
+dualnat, ran past 15 s on `tc.formula` without an answer.  `pump.game`, a
+cycle whose product is 1, is solved (mu and nu) in the truncated series of
+PUMP_SEMIRINGS, where its least fixed point is pinned to inf on the
+numeric path, and `check laws` runs on every shipped semiring selector.
+The entries of MORE_SEMIRINGS, `pump.game` and `check laws` come last, in
+the order they were appended to the snapshot.  To record the current
+behaviour as the new snapshot (only when a change of output is intended):
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -28,32 +32,49 @@ from pathlib import Path
 import pytest
 
 from provgames.cli import main
+from provgames.semirings import SHIPPED_SELECTORS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
 SEMIRINGS = ["bool", "natinf", "tropical", "sorp", "sorpinf", "sorpinfdual",
              "series:4", "posbool", "natpoly", "dualnat"]
+MORE_SEMIRINGS = ["seriesdual:4", "boolpoly", "whypoly"]
 FORMULA_SEMIRINGS = {"bool": "graph.interp", "natinf": "graph.interp",
                      "tropical": "graph.interp", "sorp": "graph-tokens.interp",
                      "sorpinf": "graph-tokens.interp", "posbool": "graph-tokens.interp"}
+PUMP = "fixtures/pump.game"
+PUMP_SEMIRINGS = ["series:4", "seriesdual:4"]
 
 
-def commands():
+def _solve_system(path, sr):
+    return [("solve-system", path, "--semiring", sr, "--fixpoint", fp, "--format", "structured")
+            for fp in ("mu", "nu")]
+
+
+def _game_commands(paths, semirings):
     out = []
-    for game in sorted((ROOT / "fixtures").glob("*.game")):
-        path = f"fixtures/{game.name}"
-        for sr in SEMIRINGS:
+    for path in paths:
+        for sr in semirings:
             out.append(("eval-game", path, "--semiring", sr))
             for fp in ("mu", "nu"):
                 out.append(("eval-game", path, "--semiring", sr, "--fixpoint", fp))
-            for fp in ("mu", "nu"):
-                out.append(("solve-system", path, "--semiring", sr, "--fixpoint", fp,
-                            "--format", "structured"))
+            out += _solve_system(path, sr)
+    return out
+
+
+def commands():
+    games = [f"fixtures/{game.name}" for game in sorted((ROOT / "fixtures").glob("*.game"))]
+    games.remove(PUMP)
+    out = _game_commands(games, SEMIRINGS)
     for formula in sorted((ROOT / "fixtures").glob("*.formula")):
         for sr, interp in FORMULA_SEMIRINGS.items():
             for mode in ("game", "compositional", "direct"):
                 out.append(("eval-formula", f"fixtures/{formula.name}", f"fixtures/{interp}",
                             "--semiring", sr, "--mode", mode, "--model-default"))
+    out += _game_commands(games, MORE_SEMIRINGS)
+    for sr in PUMP_SEMIRINGS:
+        out += _solve_system(PUMP, sr)
+    out += [("check", "laws", "--semiring", sr) for sr in SHIPPED_SELECTORS]
     return out
 
 

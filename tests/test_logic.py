@@ -41,7 +41,6 @@ from provgames.logic import (
     to_nnf,
 )
 from provgames.semirings import get_semiring
-from provgames.solver import SolverConfig
 
 from genutil import (
     RELS,
@@ -334,14 +333,13 @@ def test_nested_lfp():
     assert game_eval(pi, f) == 1
 
 
-def _reference_direct(pi, sentence, config=None):
+def _reference_direct(pi, sentence):
     """poslfp_eval_direct as it was before formulas were compiled to one
     equation system: each lfp table is iterated on its own, innermost
     first, and then saturated."""
     handle = pi.handle
     nnf = to_nnf(sentence)
     check_poslfp(nnf)
-    config = config or SolverConfig()
 
     def ev(f, env, rel_env):
         if isinstance(f, Atom):
@@ -372,7 +370,7 @@ def _reference_direct(pi, sentence, config=None):
         g = {args: handle.zero for args in tuples}
         n = len(tuples)
         max_iter = 4 * n + 16
-        threshold = config.threshold_for(n)
+        threshold = 2 * n + 2
 
         def step(current):
             return {

@@ -525,6 +525,51 @@ def test_series_star_matches_reference(selector):
     check()
 
 
+def reference_series_geom(numerator, ratio, degree_bound):
+    """series_geom as it was before its closed form: iterate
+    acc <- base + ratio*acc until an iterate repeats, returning the last
+    one (it carries the truncation marker of the dropped products), or else
+    keep iterating while pinning the coefficients still moving to inf."""
+    kind = trunc_kind(degree_bound, dual=numerator.kind.dual)
+    base = Polynomial(kind, dict(numerator.monos), numerator.truncated)
+    ratio = Polynomial(kind, dict(ratio.monos), ratio.truncated)
+    if base.is_zero:
+        return base
+    acc = base
+    budget = 2 * (degree_bound + 2)
+    for _ in range(budget):
+        nxt = base + ratio * acc
+        if nxt == acc:
+            return nxt
+        acc = nxt
+    for _ in range(budget):
+        nxt = base + ratio * acc
+        moving = {m for m in set(acc.monos) | set(nxt.monos)
+                  if acc.coefficient(m) != nxt.coefficient(m)}
+        if not moving:
+            break
+        acc = Polynomial(kind, {m: (INF if m in moving else c) for m, c in nxt.monos.items()},
+                         nxt.truncated)
+    return acc
+
+
+@pytest.mark.parametrize("selector", ["series:0", "series:2", "series:4", "seriesdual:4"])
+def test_series_geom_matches_reference(selector):
+    kind = get_semiring(selector).kind
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_polys(kind), kernel_polys(kind), st.sampled_from((0, 1, 2, INF)))
+    def check(numerator, ratio, constant):
+        # Three draws in four give the ratio a constant term.
+        ratio = ratio + Polynomial(kind, {ONE_MONOMIAL: constant})
+        got = series_geom(numerator, ratio, kind.degree_bound)
+        want = reference_series_geom(numerator, ratio, kind.degree_bound)
+        assert got == want
+        assert got.truncated == want.truncated
+
+    check()
+
+
 def test_series_star_keeps_truncation_marker():
     handle = get_semiring("series:2")
     p = handle.token("p")
