@@ -8,6 +8,7 @@ format is line-oriented `key: value` pairs under a schema version header.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -312,9 +313,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (GameFileError, FormulaSyntaxError) as exc:

@@ -636,14 +636,17 @@ def fo_eval(pi, sentence):
 class MCGame:
     """A model-checking game plus the bookkeeping to valuate it.
 
-    positions are (occurrence path, frozen environment); terminals map to
-    instantiated literals (rel, args, positive) or ('=', a, b, negated).
+    Positions are the integers 0, 1, ... in first-visit order, so `root` is
+    0; `labels[p]` is the (occurrence path, frozen environment) pair that
+    position p stands for.  Terminals map to instantiated literals
+    (rel, args, positive) or ('=', a, b, negated).
     """
 
-    def __init__(self, game, root, terminal_literals):
+    def __init__(self, game, root, terminal_literals, labels):
         self.game = game
         self.root = root
         self.terminal_literals = terminal_literals
+        self.labels = labels
 
     def basic_valuation(self, pi, player):
         handle = pi.handle
@@ -665,16 +668,19 @@ def build_mc_game(universe, formula):
 
     Verifier (Player 0) owns disjunctions, existential quantifiers, and the
     unique-move unfolding positions of fixed points; Falsifier (Player 1)
-    owns conjunctions and universal quantifiers.
+    owns conjunctions and universal quantifiers.  A position is a subformula
+    occurrence with an assignment to its free variables; the game numbers
+    these pairs densely in first-visit order (the root is 0) and keeps each
+    pair in `MCGame.labels`, so every later layer hashes small integers.
     """
     if not is_nnf(formula):
         raise NotNNF("model-checking games require negation normal form")
     universe = tuple(universe)
+    ids = {}  # (occurrence path, environment) -> position
+    labels = []
     owners = {}
     moves = []
     terminal_literals = {}
-    # binder environment: rel -> (path of binder body, params)
-    root = ((), frozenset())
     # occurrence path -> free terms of the subformula there, which are the
     # environment entries its subgame can depend on
     supports = {}
@@ -684,16 +690,20 @@ def build_mc_game(universe, formula):
             supports[path] = free_variables(f)
         return supports[path]
 
+    # binders: rel -> (path of binder body, params, body)
     def build(f, path, env, binders):
-        pos = (path, env)
-        if pos in owners:
+        key = (path, env)
+        pos = ids.get(key)
+        if pos is not None:
             return pos
-        e = dict(env)
+        pos = ids[key] = len(labels)
+        labels.append(key)
         if isinstance(f, Atom) and f.rel in binders:
             if f.negated:
                 raise NotPosLFP(f"fixed-point relation {f.rel} occurs negatively")
             owners[pos] = 0
             body_path, params, body = binders[f.rel]
+            e = dict(env)
             args = tuple(_resolve(t, e, universe) for t in f.args)
             new_env = frozenset(zip(params, args))
             child = build(body, body_path, new_env, binders)
@@ -701,6 +711,7 @@ def build_mc_game(universe, formula):
             return pos
         if isinstance(f, (Atom, Eq)):
             owners[pos] = TERMINAL
+            e = dict(env)
             if isinstance(f, Atom):
                 args = tuple(_resolve(t, e, universe) for t in f.args)
                 terminal_literals[pos] = (f.rel, args, not f.negated)
@@ -712,30 +723,30 @@ def build_mc_game(universe, formula):
         if isinstance(f, (And, Or)):
             owners[pos] = 0 if isinstance(f, Or) else 1
             for i, sub in enumerate((f.left, f.right)):
-                keep = support(sub, path + (i,))
+                sub_path = path + (i,)
+                keep = support(sub, sub_path)
                 relevant = frozenset((k, v) for k, v in env if k in keep)
-                child = build(sub, path + (i,), relevant, binders)
+                child = build(sub, sub_path, relevant, binders)
                 moves.append((pos, child))
             return pos
         if isinstance(f, Quant):
             owners[pos] = 0 if f.kind == "exists" else 1
-            keep = support(f.sub, path + (0,))
+            sub_path = path + (0,)
+            keep = support(f.sub, sub_path)
+            # The outer entries the body can see, without the one it shadows.
+            outer = frozenset((k, v) for k, v in env if k in keep and k != f.var)
             for a in universe:
-                sub_env = {**e, f.var: a}
                 # Keep the bound variable even when the body ignores it:
                 # collapsing the children would merge moves the owner can
                 # choose between, undercounting in non-idempotent semirings.
-                relevant = frozenset(
-                    (k, v) for k, v in sub_env.items()
-                    if k == f.var or k in keep
-                )
-                child = build(f.sub, path + (0,), relevant, binders)
+                child = build(f.sub, sub_path, outer | {(f.var, a)}, binders)
                 moves.append((pos, child))
             return pos
         if isinstance(f, Fp):
             if f.kind != "lfp":
                 raise NotPosLFP("greatest fixed points are outside the fragment")
             owners[pos] = 0
+            e = dict(env)
             args = tuple(_resolve(t, e, universe) for t in f.args)
             body_path = path + (0,)
             new_binders = {**binders, f.rel: (body_path, f.params, f.body)}
@@ -744,9 +755,8 @@ def build_mc_game(universe, formula):
             return pos
         raise ProvError(f"unknown formula node {f!r}")
 
-    build(formula, (), frozenset(), {})
-    game = GameGraph(owners, moves)
-    return MCGame(game, root, terminal_literals)
+    root = build(formula, (), frozenset(), {})
+    return MCGame(GameGraph(owners, moves), root, terminal_literals, labels)
 
 
 def game_eval(pi, sentence, player=0, config=None):

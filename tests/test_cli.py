@@ -182,6 +182,33 @@ def test_exit_usage_on_missing_command(capsys):
     assert exc.value.code == 1
 
 
+def _usage_error(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    plain = ("eval-game", SAFETY, "--fixpoint", "nu", "--semiring", "sorpinf")
+    expected = run(capsys, *plain)
+    code, out, _ = run(capsys, *plain, "--format", "structured", "--into", "natinf",
+                       "--assign", "s=2", "--assign", "t=0")
+    assert code == 0 and "v: inf" in out.splitlines()
+    assert run(capsys, *plain) == expected
+    args = cli._parser().parse_args(list(plain))
+    assert (args.assign, args.into, args.format) == ([], None, "text")
+    assert cli._parser() is cli._parser()
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    bad = ["eval-game", REACH, "--fixpoint", "sideways"]
+    fresh = _usage_error(capsys, cli.build_parser().parse_args, bad)
+    code, _, _ = run(capsys, "eval-game", REACH, "--fixpoint", "mu", "--semiring", "sorpinf")
+    assert code == 0
+    assert _usage_error(capsys, main, bad) == fresh
+    assert fresh[0] == 1 and "invalid choice: 'sideways'" in fresh[1]
+
+
 def test_exit_parse_on_bad_game_file(capsys, tmp_path):
     bad = tmp_path / "bad.game"
     bad.write_text("position v player7\n")

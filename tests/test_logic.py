@@ -213,11 +213,32 @@ def test_mc_game_matches_reference_on_corpus():
                       to_nnf(random_poslfp_formula(rng, universe))):
                 mc = build_mc_game(universe, f)
                 owners, moves, literals = _reference_mc_game(universe, f)
-                assert mc.game.owners == owners
-                assert mc.game.moves == moves
-                assert mc.terminal_literals == literals
+                labels = mc.labels
+                assert list(mc.game.owners) == list(range(len(labels)))
+                assert mc.root == 0 and labels[0] == ((), frozenset())
+                assert len(set(labels)) == len(labels)
+                assert {labels[v]: o for v, o in mc.game.owners.items()} == owners
+                assert [(labels[u], labels[w]) for u, w in mc.game.moves] == moves
+                assert {labels[v]: lit for v, lit in mc.terminal_literals.items()} == literals
                 count += 1
     assert count == 240
+
+
+def test_quantifier_environments_keep_every_move():
+    nat = get_semiring("nat")
+    r = {"a": 2, "b": 3, "c": 5}
+    not_r = {"a": 7, "b": 11, "c": 13}
+    values = {("Q", (), True): 4, ("Q", (), False): 6}
+    for a in r:
+        values[("R", (a,), True)] = r[a]
+        values[("R", (a,), False)] = not_r[a]
+    pi = KInterpretation(nat, tuple(r), {"R": 1, "Q": 0}, values)
+    shadowing = parse_formula("exists x. exists x. R(x)")
+    vacuous = Quant("exists", "x", Atom("Q", ()))  # the parser has no nullary atoms
+    for f, value, negated in ((shadowing, 3 * sum(r.values()), (7 * 11 * 13) ** 3),
+                              (vacuous, 3 * 4, 6 ** 3)):
+        assert game_eval(pi, f, 0) == fo_eval(pi, f) == value
+        assert game_eval(pi, f, 1) == fo_eval(pi, Not(f)) == negated
 
 
 # --- evaluation -----------------------------------------------------------
