@@ -34,7 +34,6 @@ from .poly import Polynomial, parse_poly, project, series_geom, specialize
 from .semirings import SHIPPED_SELECTORS, Semiring, get_semiring, sr_check_laws
 from .solver import (
     EquationSystem,
-    SolverConfig,
     build_system,
     kleene_gfp,
     kleene_lfp,

@@ -37,7 +37,7 @@ from .logic import (
 )
 from .poly import Polynomial, specialize
 from .semirings import SHIPPED_SELECTORS, get_semiring, sr_check_laws
-from .solver import SolverConfig, build_system, kleene_gfp, kleene_lfp
+from .solver import build_system, kleene_gfp, kleene_lfp
 
 SCHEMA_VERSION = 1
 
@@ -60,9 +60,6 @@ def _add_common(sub):
     sub.add_argument("--semiring", default="natpoly",
                      help="semiring selector, e.g. sorpinf, series:4, minmax:a<b<c")
     sub.add_argument("--format", choices=("text", "structured"), default="text")
-    sub.add_argument("--max-iter", type=int, default=None,
-                     help="first-phase budget of the numeric path (default "
-                          "4*|positions| + 16); no effect on the exact paths")
     sub.add_argument("--trunc-degree", type=int, default=None,
                      help="degree bound of a series or seriesdual selector "
                           "(replaces its D); no effect on other semirings")
@@ -130,10 +127,6 @@ def _handle(args):
     return get_semiring(selector)
 
 
-def _config(args):
-    return SolverConfig(max_iterations=args.max_iter)
-
-
 def _specialize(value, handle, args):
     if not args.assign:
         return value, handle
@@ -166,7 +159,7 @@ def cmd_eval_game(args):
     else:
         system = build_system(game, basic)
         solve = kleene_lfp if (args.fixpoint or "mu") == "mu" else kleene_gfp
-        result = solve(system, _config(args))
+        result = solve(system)
         values = result.values
         meta = [f"iterations: {result.iterations}",
                 f"saturated: {str(result.saturated).lower()}"]
@@ -198,9 +191,9 @@ def cmd_eval_formula(args):
     if args.mode == "compositional":
         value = fo_eval(pi, formula)
     elif args.mode == "direct":
-        value = poslfp_eval_direct(pi, to_nnf(formula), _config(args))
+        value = poslfp_eval_direct(pi, to_nnf(formula))
     else:
-        value = game_eval(pi, formula, args.player, _config(args))
+        value = game_eval(pi, formula, args.player)
     value, h = _specialize(value, handle, args)
     lines = [f"value: {h.format_value(value)}"]
     if args.format == "structured":
@@ -217,7 +210,7 @@ def cmd_solve_system(args):
     basic = gf.basic_valuation(handle, args.player)
     system = build_system(game, basic)
     solve = kleene_lfp if args.fixpoint == "mu" else kleene_gfp
-    result = solve(system, _config(args))
+    result = solve(system)
     lines = [
         f"fixpoint: {args.fixpoint}",
         f"iterations: {result.iterations}",

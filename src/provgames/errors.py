@@ -34,7 +34,7 @@ class NotFullyOmegaContinuous(ProvError):
 
 
 class NoConvergence(ProvError):
-    """Fixed-point iteration did not stabilize and saturation failed."""
+    """No least fixed point exists: the Kleene iterates grow without bound."""
 
 
 class MalformedGame(ProvError):

@@ -759,7 +759,7 @@ def build_mc_game(universe, formula):
     return MCGame(GameGraph(owners, moves), root, terminal_literals, labels)
 
 
-def game_eval(pi, sentence, player=0, config=None):
+def game_eval(pi, sentence, player=0):
     """Value of the model-checking game at the root, for either player."""
     nnf = to_nnf(sentence)
     mc = build_mc_game(pi.universe, nnf)
@@ -772,13 +772,13 @@ def game_eval(pi, sentence, player=0, config=None):
         )
     check_poslfp(nnf)
     system = build_system(mc.game, basic)
-    return kleene_lfp(system, config)[mc.root]
+    return kleene_lfp(system)[mc.root]
 
 
 # --- direct posLFP semantics --------------------------------------------------
 
 
-def poslfp_eval_direct(pi, sentence, config=None):
+def poslfp_eval_direct(pi, sentence):
     """Fixed-point semantics: the sentence's value in the least solution of
     the equation system it compiles to, found by `kleene_lfp`."""
     nnf = to_nnf(sentence)
@@ -789,7 +789,7 @@ def poslfp_eval_direct(pi, sentence, config=None):
         return rhs[1]
     root = compiler.auxiliary(rhs)
     system = EquationSystem(pi.handle, compiler.equations)
-    return kleene_lfp(system, config)[root]
+    return kleene_lfp(system)[root]
 
 
 def model_check(structure, sentence):

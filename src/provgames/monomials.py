@@ -124,10 +124,11 @@ class Monomial:
         """Image under the exponent-dropping quotient (all exponents -> 1)."""
         return Monomial((t, 1) for t, _ in self.exps)
 
-    def cap_at(self, threshold):
-        """Exponents >= threshold become INF (gfp saturation step)."""
+    def cap_at(self, bound):
+        """Exponents >= bound become INF; cap_at(1) is the limit m^inf of the
+        powers of m (see `PolySemiring.pow_inf`)."""
         return Monomial(
-            (t, INF if (e is INF or e >= threshold) else e) for t, e in self.exps
+            (t, INF if (e is INF or e >= bound) else e) for t, e in self.exps
         )
 
     def __repr__(self):

@@ -235,17 +235,6 @@ class Polynomial:
             out = dict.fromkeys(out, 1)
         return Polynomial._canonical(kind, out, truncated)
 
-    def cap_coefficients(self, threshold):
-        """Saturation step: coefficients >= threshold become INF (no copy when
-        none is that large)."""
-        if not any(c is not INF and c >= threshold for c in self.monos.values()):
-            return self
-        return Polynomial(
-            self.kind,
-            {m: (INF if (c is INF or c >= threshold) else c) for m, c in self.monos.items()},
-            self.truncated,
-        )
-
     def __repr__(self):
         return f"<{self.kind}: {format_poly(self)}>"
 

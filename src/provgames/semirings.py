@@ -463,32 +463,13 @@ class PolySemiring(Semiring):
         self.flags = _poly_flags(kind)
         self.zero = Polynomial.zero(kind)
         self.one = Polynomial.one(kind)
-        # The truncated-series top depends on the token space; solver callers
-        # get it from top_for_tokens instead.
+        # A truncated series has no top of its own: its greatest element
+        # depends on the token space, and the solver's degree levels build
+        # only the slice of it that they need.
         if self.flags.fully_omega_continuous and not kind.inf_coefficients:
             self.top = self.one
         else:
             self.top = None
-
-    def top_for_tokens(self, tokens):
-        """Greatest element over a concrete finite token space."""
-        if not self.flags.fully_omega_continuous:
-            return None
-        if not self.kind.inf_coefficients:
-            return self.one
-        from itertools import combinations_with_replacement
-
-        from .monomials import Monomial
-
-        tokens = sorted(set(tokens))
-        monos = {}
-        for d in range(self.kind.degree_bound + 1):
-            for combo in combinations_with_replacement(tokens, d):
-                exps = {}
-                for t in combo:
-                    exps[t] = exps.get(t, 0) + 1
-                monos[Monomial(exps)] = INF
-        return Polynomial(self.kind, monos)
 
     def token(self, name):
         return Polynomial.token(self.kind, name)

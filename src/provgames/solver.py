@@ -5,89 +5,110 @@ The solver splits a system into strongly connected components of its
 dependency graph (one iterative Tarjan pass) and solves them bottom-up, so
 that every component sees its dependencies already solved, as constants.
 A component without a cycle needs one evaluation.  A cyclic component of
-n variables is solved exactly where a theorem applies:
+n variables is solved by a method with an argument; a semiring that has
+none raises `ProvError`.
 
-* Absorptive semirings, least fixed point: plain Kleene iteration from 0.
-  The k-th iterate at x is the sum of the values of x's derivation trees of
-  height at most k.  A tree with a variable repeated on a path is absorbed
-  by the tree that cuts out the part between the repetitions (its value is
-  the pruned tree's value times more factors, and a + a*b = a), so the
-  trees of height at most n already give the sum: the n-th iterate is the
-  lfp and step n+1 repeats it.  A component that has not repeated after
-  n+1 steps raises `ProvError`.
-* Absorptive, fully omega-continuous semirings, greatest fixed point: the
-  closed form x = f^n((f^n(T))^inf), with T the top element and the
-  infinitary power taken per variable; see Naaf, "Computing least and
-  greatest fixed points in absorptive semirings" (RAMiCS 2021).  Both
-  phases stop early when an iterate repeats, which in the first phase is
-  the gfp itself (a fixed point that is a Kleene iterate from the top lies
-  above every fixed point); the second phase must repeat within n+1 steps
-  or the solver raises `ProvError`.  For the antichain polynomials the
-  infinitary power is (m_1 + ... + m_k)^inf = m_1^inf + ... + m_k^inf: a
-  product of powers of several m_i is absorbed by a power of one of them,
-  so only the single-monomial chains m_i^e survive in the limit, and their
-  limit sets every exponent of m_i to inf (`PolySemiring.pow_inf`).
-* Positive semirings that are not idempotent (nat, natpoly, natinf), least
-  fixed point: the lfp support (the variables whose lfp value is nonzero)
-  comes from a linear worklist.  A support variable on a cycle of support
-  variables (edges through nonzero coefficients) has infinitely many
-  derivation trees, all with nonzero value (see `kleene_lfp`), so in natinf,
-  where every nonzero value is at least 1, its value is inf; in nat and
-  natpoly no lfp exists and the solver raises `NoConvergence` naming it.
-  Every other variable is zero (outside the support) or comes from one
-  evaluation in the order of the support graph's components.
-* Everything else (truncated series, dualnat, natinf nu, the nu of any
-  other semiring that is not absorptive) keeps the numeric path
-  `_iterate` on the whole system, described below.
+* Absorptive semirings, lfp: Kleene iteration from 0.  The k-th iterate at
+  x sums the values of x's derivation trees of height at most k.  A tree
+  with a variable repeated on a path is absorbed by the tree that cuts out
+  the part between the repetitions (a + a*b = a), so the n-th iterate is the
+  lfp and step n+1 repeats it; otherwise the solver raises `ProvError`.
+* Absorptive, fully omega-continuous semirings, gfp: the closed form
+  x = f^n((f^n(T))^inf), T the top element, the infinitary power taken per
+  variable (Naaf, "Computing least and greatest fixed points in absorptive
+  semirings", RAMiCS 2021).  Both phases stop when an iterate repeats; in
+  the first that is the gfp itself (a fixed point that is a Kleene iterate
+  from the top lies above every fixed point), and the second must repeat
+  within n+1 steps.  For the antichain polynomials
+  (m_1 + ... + m_k)^inf = m_1^inf + ... + m_k^inf: a product of powers of
+  several m_i is absorbed by a power of one of them, and m^inf sets every
+  exponent of m to inf (`PolySemiring.pow_inf`).
+* Positive semirings that are not idempotent (nat, natpoly, natinf), lfp:
+  the support (the variables whose lfp is nonzero) comes from a linear
+  worklist.  A support variable on a cycle of support variables (edges
+  through nonzero coefficients) is inf in natinf, and in nat and natpoly no
+  lfp exists (`NoConvergence` names it; see `kleene_lfp`).  Every other
+  variable is 0 or one evaluation, in the order of the support graph.
+* natinf, gfp: the same with the greatest support S, the greatest set
+  where a constant is nonzero, a sum has a term with a nonzero coefficient
+  and a variable in S, and a product only nonzero coefficients and
+  variables in S.  The nonzero variables of any fixed point form such a
+  set, so every fixed point is 0 outside S.  Every variable of S evaluates
+  to a nonzero value (natinf has no zero sums or zero divisors), so with inf
+  on the cycles of S the evaluations give a fixed point, and it is the
+  greatest: any fixed point is 0 outside S, at most inf on the cycles, and
+  then fixed by the same evaluations.
+* dualnat and boolpoly, lfp: the n+1 rule.  If no iterate repeats within
+  n+1 steps, no fixed point exists and `NoConvergence` names the component.
+  Sums do not cancel (coefficients in N; boolpoly adds by union), so a
+  change at step n+1 comes from a tree of height n+1 with a nonzero value,
+  in boolpoly with a monomial no lower tree has, and one of its paths
+  repeats a variable.  In dualnat, pumping the segment between the
+  repetitions keeps the tree's tokens and so its value nonzero (only
+  complementary tokens multiply to 0), and infinitely many trees each add
+  at least 1 to the coefficient sum.  In boolpoly, cutting such segments
+  until the height is at most n would put the new monomial in the n-th
+  iterate unless a cut segment carries a non-unit monomial, whose pumps
+  have unbounded degree.  So the iterates are unbounded, and every fixed
+  point lies above them.  See Khamis, Ngo, Pichler, Suciu and Wang,
+  "Convergence of Datalog over (pre-)semirings" (PODS 2022).
+* whypoly, lfp: Kleene iteration until an iterate repeats, which happens
+  within n*(|T|+1)+1 steps, T the system's tokens.  A tree contributes the
+  union of the token sets it picks.  Take a tree with the fewest nodes for a
+  set S.  Along a path the sets of the subtrees shrink, so they take at most
+  |S|+1 values, and no two nodes have the same variable and the same set
+  (putting the lower subtree in place of the upper keeps S).  The values
+  over T form a finite lattice, so the lfp is the union of all trees' sets,
+  and each of them comes from a tree of height at most n*(|T|+1).
+* series:D and seriesdual:D, lfp and gfp: degree levels, Newton's method on
+  a graded semiring (Esparza, Kiefer and Luttenberger, "Newtonian program
+  analysis", JACM 2010).  With x^(k) the part of x of degree k, the degree-k
+  part of f(x) is J*x^(k) + [f(x^(<k))]^(k), J the Jacobian at x^(0): a
+  sum's entry is the constant term of the coefficient, a product's that
+  times the level-0 values of the other factors, in N u {inf}.  Level 0 is
+  the natinf system of the constant terms, solved by its support (lfp) or
+  greatest support (gfp).  Level k >= 1 is y = J*y + [f(x^(<k))]^(k), a
+  natinf system per monomial, solved in one pass over the components of J
+  (edges through nonzero entries).  The least solution puts inf on every
+  monomial fed into a cyclic component (each trip round adds the input
+  again); the greatest puts inf on every monomial of degree k over T (no
+  complementary pair in seriesdual), the degree-k slice of the top, at every
+  variable that reaches a cycle.  The rest is one evaluation each.  Taking
+  the least solution on every level gives a fixed point W, so the lfp L
+  lies below W; L's level 0 solves level 0, so it equals W's, then L's
+  level 1 solves W's level-1 system, and so on: L = W.  The gfp likewise.
 
-The exact paths end with one full application of the system, which must
-reproduce the result (`verified`).  There `iterations` counts the Kleene
-steps made inside cyclic components (summed over components; evaluations
-of acyclic ones do not count) and `saturated` says that an infinite limit
-was used: the infinitary power changed an iterate, or a support cycle was
-set to inf.  `SolverConfig` bounds only the numeric path.
+Every method ends with one full application of the system, which must
+reproduce the result (`verified`).  `iterations` counts the Kleene steps
+inside cyclic components, summed over components.  `saturated` says that
+an infinite limit was used: the infinitary power changed an iterate, or a
+least fixed point set a cyclic component to inf (a support cycle, or a
+cycle of J fed a monomial); inf taken from the top element is not one.
 
-The numeric path starts least fixed points at 0 and greatest fixed points
-at the top element (which for truncated power-series semirings depends on
-the token alphabet).  It has one saturation rule, `_cap`: coefficients of
-a truncated series (series:D, seriesdual:D) at or above a threshold become
-inf, and any other value stays as it is; descending iteration caps
-nothing.  Ascending iteration leaves plain iteration early once a value
-would be capped at 2^20 (multiplicative cycles can square values every
-round).  When plain iteration does not stabilize within the budget, it
-keeps iterating while capping the variables that are still moving at the
-threshold 2*|vars| + 2 (values that already settled are never touched),
-doubles the threshold once if that does not settle, and finally verifies
-the result by one exact application of the system.
+A truncated series is marked `truncated` when it lost monomials above the
+degree bound.  Sums and products mark their result when an operand is
+marked or a product drops a monomial, so at a fixed point a variable is
+marked exactly when it depends, through a chain of equations, on an
+equation whose evaluation at the solution drops a monomial or reads a
+marked constant or coefficient.  The degree levels find those equations in
+one evaluation at the unmarked solution and spread the marks backwards.
 
-Each step is a Jacobi step: every equation is applied to the previous
-iterate.  A right-hand side is a function of its dependencies' values
-alone, so when none of them changed since the step before, its value is
-the one that step produced and is reused instead of evaluated again.
-"Unchanged" means an equal value with an equal `truncated` marker (the
-marker is not part of polynomial equality, but products and sums carry
-it), so every iterate, marker included, is the one full evaluation gives.
-In the saturation phase the reused value is the raw output from before
-capping.  The first step of each phase, the verifying application and the
-marker settling always evaluate every equation.
+Each Kleene step is a Jacobi step on the component.  A right-hand side whose
+dependencies all kept their value and marker since the step before reuses
+that step's output, so every iterate, marker included, is the one full
+evaluation gives.  The first step on each component evaluates it all.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 from .errors import NoConvergence, NotFullyOmegaContinuous, ProvError
-from .poly import Polynomial
-from .semirings import PolySemiring
-
-
-@dataclass
-class SolverConfig:
-    max_iterations: int = None  # default 4*|vars| + 16
-
-    def iterations_for(self, n_vars):
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 4 * n_vars + 16
+from .infinity import INF, ext_add
+from .monomials import ONE_MONOMIAL, Monomial
+from .poly import BOOLPOLY, DUALNAT, WHYPOLY, Polynomial
+from .semirings import NatInfSemiring
 
 
 @dataclass
@@ -96,7 +117,6 @@ class SolveResult:
     iterations: int
     saturated: bool
     verified: bool
-    threshold: int = None
     evaluations: int = 0  # non-constant right-hand sides actually evaluated
 
     def __getitem__(self, var):
@@ -147,7 +167,6 @@ class EquationSystem:
             changed = {var for var in variables
                        if not _unchanged(assignment[var], before[var])}
         out = {}
-        evaluated = 0
         for var in variables:
             rhs = equations[var]
             if rhs[0] == "const":
@@ -156,9 +175,7 @@ class EquationSystem:
             if changed is not None and changed.isdisjoint(self._deps[var]):
                 out[var] = reused[var]
                 continue
-            evaluated += 1
             out[var] = self.evaluate(var, assignment)
-        self.evaluations += evaluated
         return out
 
     def evaluate(self, var, assignment):
@@ -168,6 +185,7 @@ class EquationSystem:
         tag, body = self.equations[var]
         if tag == "const":
             return body
+        self.evaluations += 1
         handle = self.handle
         if tag == "sum":
             acc = handle.zero
@@ -212,148 +230,12 @@ def build_system(game, basic):
     return EquationSystem(handle, equations)
 
 
-def _iterate(system, start, direction, config):
-    handle = system.handle
-    n = len(system.equations)
-    max_iter = config.iterations_for(n)
-    threshold = 2 * n + 2
-    descending = direction == "gfp"
-
-    # Multiplicative cycles can square values every round, so counts would
-    # reach astronomical sizes long before max_iter; once anything blows past
-    # this cap we skip straight to the saturation phase.  Only the values
-    # that changed in the last step are checked: an unchanged value was
-    # checked in the step before and did not blow up.
-    blowup = max(threshold + 1, 1 << 20)
-
-    evaluated_before = system.evaluations
-    current = dict(start)
-    previous = None
-    iterations = 0
-    for _ in range(max_iter):
-        nxt = system.apply(current, previous)
-        iterations += 1
-        for var in current:
-            lo, hi = (nxt[var], current[var]) if descending else (current[var], nxt[var])
-            if not handle.leq(lo, hi):
-                raise ProvError(
-                    f"iteration not monotone at {var!r}; equation system is outside "
-                    "the supported fragment for this semiring"
-                )
-        moved = [x for var, x in nxt.items() if x is not current[var] and x != current[var]]
-        if not moved:
-            current = _settle_metadata(system, nxt)
-            return SolveResult(current, iterations, saturated=False, verified=True,
-                               threshold=threshold,
-                               evaluations=system.evaluations - evaluated_before)
-        previous = (current, nxt)
-        current = nxt
-        if not descending and any(_cap(x, blowup) is not x for x in moved):
-            break
-
-    # Saturation: keep iterating, but cap values that are still changing.
-    # A diverging variable may grow by one unit only once per cycle length,
-    # so this phase gets a budget proportional to the threshold as well
-    # (bounded so that absurd thresholds cannot stall the solver).
-    # Steps reuse the raw output from before capping: that is what the
-    # equations produced, whereas the capped values are only the next input.
-    for attempt in range(2):
-        state = dict(current)
-        previous = None
-        for _ in range(min(max_iter + threshold * n, 100_000)):
-            raw = system.apply(state, previous)
-            iterations += 1
-            moving = [var for var, x in raw.items() if x is not state[var] and x != state[var]]
-            if not moving:
-                break
-            nxt = dict(raw)
-            if not descending:
-                for var in moving:
-                    nxt[var] = _cap(raw[var], threshold)
-            if nxt == state:
-                break
-            previous = (state, raw)
-            state = nxt
-        else:
-            threshold *= 2
-            continue
-        if system.apply(state) == state:
-            state = _settle_metadata(system, state)
-            return SolveResult(state, iterations, saturated=True, verified=True,
-                               threshold=threshold,
-                               evaluations=system.evaluations - evaluated_before)
-        threshold *= 2
-    raise NoConvergence(
-        f"no fixed point within budget (iterations={iterations}, "
-        f"final threshold={threshold})"
-    )
-
-
-def _cap(value, threshold):
-    """The numeric path's one saturation rule: the coefficients >= threshold
-    of a truncated series become inf (the value itself when there are none);
-    any other value is its own limit."""
-    if isinstance(value, Polynomial) and value.kind.inf_coefficients:
-        return value.cap_coefficients(threshold)
-    return value
-
-
 def _unchanged(a, b):
     """Same value and same truncated marker: the solver's notion of a
     value that did not change between two iterates."""
     return a is b or (
         a == b and getattr(a, "truncated", None) == getattr(b, "truncated", None)
     )
-
-
-def _settle_metadata(system, assignment):
-    """Equality of polynomials ignores the truncated marker, so once the
-    values converge we keep applying until the markers converge too."""
-    current = assignment
-    for _ in range(len(system.equations) + 1):
-        nxt = system.apply(current)
-        if all(_unchanged(nxt[var], value) for var, value in current.items()):
-            return current
-        current = nxt
-    return current
-
-
-def _lfp_support(system):
-    """The variables whose least-fixed-point value is nonzero, in a positive
-    semiring (no zero sums, no zero divisors): a constant is nonzero when it
-    is, a sum once one term with a nonzero coefficient has a nonzero
-    variable, a product once every factor's coefficient and variable are."""
-    zero = system.handle.zero
-    users = {var: [] for var in system.equations}
-    missing = {}
-    ready = []
-    for var, (tag, body) in system.equations.items():
-        if tag == "const":
-            if body != zero:
-                ready.append(var)
-            continue
-        live = {dep for coeff, dep in body if coeff != zero}
-        if tag == "prod":
-            if any(coeff == zero for coeff, _ in body):
-                continue
-            missing[var] = len(live)
-            if not live:
-                ready.append(var)
-        else:
-            missing[var] = 1
-        for dep in live:
-            users[dep].append(var)
-    support = set()
-    while ready:
-        var = ready.pop()
-        if var in support:
-            continue
-        support.add(var)
-        for user in users[var]:
-            missing[user] -= 1
-            if missing[user] == 0:
-                ready.append(user)
-    return support
 
 
 def _components(successors):
@@ -430,51 +312,57 @@ def _kleene_steps(system, values, component, limit):
     return limit, False
 
 
-def _absorptive_fixpoint(system, start, descending):
-    """Exact lfp (from start = 0) or gfp (from start = top) of a system over
-    an absorptive semiring, one strongly connected component at a time (see
-    the module docstring).  Returns (values, iterations, saturated)."""
-    handle = system.handle
-    successors = {var: [dep for _, dep in rhs[1]] if rhs[0] != "const" else ()
-                  for var, rhs in system.equations.items()}
-    values = dict.fromkeys(system.equations)
-    iterations = 0
-    saturated = False
-    for component in _components(successors)[0]:
-        if not _is_cyclic(component, successors):
-            var = component[0]
-            if system.equations[var][0] != "const":
-                system.evaluations += 1
-            values[var] = system.evaluate(var, values)
+def _support(system, greatest=False):
+    """The lfp support of a system over a positive semiring (no zero sums,
+    no zero divisors): the least set of variables where a constant is
+    nonzero, a sum has one term with a nonzero coefficient and a variable in
+    the set, and a product has only nonzero coefficients and variables in the
+    set.  With `greatest`, the greatest such set: its complement is the
+    least set where a constant is zero, a sum has every variable behind a
+    nonzero coefficient in it, and a product a zero coefficient or one
+    variable in it, so one worklist computes both, with the roles of sums
+    and products exchanged."""
+    zero = system.handle.zero
+    users = {var: [] for var in system.equations}
+    missing = {}
+    ready = []
+    for var, (tag, body) in system.equations.items():
+        if tag == "const":
+            if (body == zero) == greatest:
+                ready.append(var)
             continue
-        n = len(component)
-        values.update(dict.fromkeys(component, start))
-        if descending:
-            steps, repeated = _kleene_steps(system, values, component, n)
-            iterations += steps
-            if repeated:
-                continue
-            for var in component:
-                value = values[var]
-                values[var] = handle.pow_inf(value)
-                saturated = saturated or not _unchanged(values[var], value)
-        steps, repeated = _kleene_steps(system, values, component, n + 1)
-        iterations += steps
-        if not repeated:
-            raise ProvError(
-                f"no fixed point after {n + 1} steps on a component of {n} variables "
-                f"containing {component[0]!r}; equation system is outside the supported "
-                f"fragment for {handle.name}"
-            )
-    return values, iterations, saturated
+        if tag == "prod" and any(coeff == zero for coeff, _ in body):
+            if greatest:
+                ready.append(var)
+            continue
+        live = {dep for coeff, dep in body if coeff != zero}
+        missing[var] = len(live) if (tag == "prod") != greatest else 1
+        if not missing[var]:
+            ready.append(var)
+        for dep in live:
+            users[dep].append(var)
+    found = set()
+    while ready:
+        var = ready.pop()
+        if var in found:
+            continue
+        found.add(var)
+        for user in users[var]:
+            missing[user] -= 1
+            if missing[user] == 0:
+                ready.append(user)
+    return set(system.equations) - found if greatest else found
 
 
-def _support_lfp(system):
-    """Exact lfp in a positive semiring that is not idempotent (see
-    `kleene_lfp`).  Returns (values, saturated)."""
+def _support_fixpoint(system, greatest):
+    """Zero outside the support (the greatest one with `greatest`), top on
+    the cycles of the support graph (edges through nonzero coefficients into
+    the support), and one evaluation elsewhere, in component order: the lfp
+    and, in natinf, the gfp (see the module docstring).  Returns (values,
+    0 iterations, saturated): a least fixed point with top on a cycle."""
     handle = system.handle
     zero = handle.zero
-    support = _lfp_support(system)
+    support = _support(system, greatest)
     successors = {
         var: [dep for coeff, dep in rhs[1] if coeff != zero and dep in support]
         if rhs[0] != "const" else ()
@@ -492,15 +380,172 @@ def _support_lfp(system):
             values.update(dict.fromkeys(component, handle.top))
             continue
         var = component[0]
-        if system.equations[var][0] != "const":
-            system.evaluations += 1
         values[var] = system.evaluate(var, values)
-    return values, on_cycle is not None
+    return values, 0, on_cycle is not None and not greatest
 
 
-def _exact_result(system, values, iterations, saturated, evaluated_before):
+def _kleene_components(system, start, factor, error, descending=False):
+    """Kleene iteration from `start` on each cyclic component, in component
+    order, within n*factor + 1 steps on a component of n variables, or
+    `error` is raised.  With `descending`, Naaf's closed form of the module
+    docstring: n steps from the top, then the infinitary power.  Returns
+    (values, iterations, saturated)."""
+    handle = system.handle
+    successors = {var: [dep for _, dep in rhs[1]] if rhs[0] != "const" else ()
+                  for var, rhs in system.equations.items()}
+    values = dict.fromkeys(system.equations)
+    iterations = 0
+    saturated = False
+    for component in _components(successors)[0]:
+        if not _is_cyclic(component, successors):
+            var = component[0]
+            values[var] = system.evaluate(var, values)
+            continue
+        n = len(component)
+        values.update(dict.fromkeys(component, start))
+        if descending:
+            steps, repeated = _kleene_steps(system, values, component, n)
+            iterations += steps
+            if repeated:
+                continue
+            for var in component:
+                value = values[var]
+                values[var] = handle.pow_inf(value)
+                saturated = saturated or not _unchanged(values[var], value)
+        steps, repeated = _kleene_steps(system, values, component, n * factor + 1)
+        iterations += steps
+        if not repeated:
+            raise error(f"no fixed point: the component of {n} variables containing "
+                        f"{component[0]!r} still changes after {steps} steps in {handle.name}")
+    return values, iterations, saturated
+
+
+def _constant_term(value):
+    return value.monos.get(ONE_MONOMIAL, 0)
+
+
+def _degree_slice(kind, tokens, k):
+    """Coefficient inf on every monomial of degree k over the tokens (without
+    a complementary pair in a dual kind): the degree-k part of the greatest
+    element over that token space."""
+    monos = (Monomial(Counter(combo)) for combo in combinations_with_replacement(tokens, k))
+    return {m: INF for m in monos if not (kind.dual and m.has_complementary_pair())}
+
+
+def _series_levels(system, descending):
+    """Exact lfp or gfp of a truncated-series system by degree levels, with
+    the truncated markers spread as the module docstring says.  Returns
+    (values, 0 iterations, saturated)."""
+    handle = system.handle
+    kind = handle.kind
+    equations = system.equations
+    natinf = NatInfSemiring()
+    base = EquationSystem(natinf, {
+        var: ("const", _constant_term(body)) if tag == "const"
+        else (tag, [(_constant_term(coeff), dep) for coeff, dep in body])
+        for var, (tag, body) in equations.items()
+    })
+    level0, _, saturated = _support_fixpoint(base, descending)
+    system.evaluations += base.evaluations
+    jacobian = {}
+    for var, (tag, body) in equations.items():
+        row = {}
+        if tag == "sum":
+            for coeff, dep in body:
+                row[dep] = ext_add(row.get(dep, 0), _constant_term(coeff))
+        elif tag == "prod":
+            factors = [natinf.mul(_constant_term(coeff), level0[dep]) for coeff, dep in body]
+            for i, (coeff, dep) in enumerate(body):
+                entry = _constant_term(coeff)
+                for j, factor in enumerate(factors):
+                    if j != i:
+                        entry = natinf.mul(entry, factor)
+                row[dep] = ext_add(row.get(dep, 0), entry)
+        jacobian[var] = {dep: entry for dep, entry in row.items() if entry != 0}
+    components = _components(jacobian)[0]
+    cyclic = [_is_cyclic(component, jacobian) for component in components]
+    high = set()  # the variables that reach a cycle of J
+    if descending:
+        for component, cycle in zip(components, cyclic):
+            if cycle or any(dep in high for var in component for dep in jacobian[var]):
+                high.update(component)
+        tokens = sorted(system.tokens())
+    x = {var: {ONE_MONOMIAL: c} if c != 0 else {} for var, c in level0.items()}
+    for k in range(1, kind.degree_bound + 2):
+        # Level k reads f(x^(<k)); the last evaluation, at the unmarked
+        # solution, finds the equations that drop a monomial.
+        out = system.apply({var: Polynomial._canonical(kind, monos, False)
+                            for var, monos in x.items()})
+        if k > kind.degree_bound:
+            break
+        level = {}
+        top_slice = None
+        for component, cycle in zip(components, cyclic):
+            if component[0] in high:
+                if top_slice is None:
+                    top_slice = _degree_slice(kind, tokens, k)
+                level.update(dict.fromkeys(component, top_slice))
+                continue
+            members = set(component)
+            fed = {}
+            for var in component:
+                for m, c in out[var].monos.items():
+                    if m.degree() == k:
+                        fed[m] = ext_add(fed.get(m, 0), c)
+                for dep, entry in jacobian[var].items():
+                    if dep not in members:
+                        for m, c in level[dep].items():
+                            fed[m] = ext_add(fed.get(m, 0), natinf.mul(entry, c))
+            if cycle and fed:
+                fed = dict.fromkeys(fed, INF)
+                saturated = True
+            level.update(dict.fromkeys(component, fed))
+        x = {var: {**monos, **level[var]} for var, monos in x.items()}
+    users = {var: [] for var in equations}
+    for var, deps in system._deps.items():
+        for dep in deps:
+            users[dep].append(var)
+    marked = {var for var, value in out.items() if value.truncated}
+    stack = list(marked)
+    while stack:
+        for user in users[stack.pop()]:
+            if user not in marked:
+                marked.add(user)
+                stack.append(user)
+    values = {var: rhs[1] if rhs[0] == "const"
+              else Polynomial._canonical(kind, x[var], var in marked)
+              for var, rhs in equations.items()}
+    return values, 0, saturated
+
+
+def _method(handle, descending):
+    """The method of the module docstring for the semiring and the direction
+    (`descending` for the gfp), as a function of the system that returns
+    (values, iterations, saturated); None when the semiring has none."""
+    flags = handle.flags
+    kind = getattr(handle, "kind", None)
+    start = handle.top if descending else handle.zero
+    if kind is not None and kind.degree_bound is not None:  # series:D, seriesdual:D
+        return lambda system: _series_levels(system, descending)
+    if start is None:
+        return None
+    if flags.absorptive:
+        return lambda system: _kleene_components(system, start, 1, ProvError, descending)
+    if flags.positive and not flags.idempotent_add:  # nat, natpoly, natinf
+        return lambda system: _support_fixpoint(system, descending)
+    if kind in (DUALNAT, BOOLPOLY):  # the n+1 rule
+        return lambda system: _kleene_components(system, start, 1, NoConvergence)
+    if kind == WHYPOLY:
+        return lambda system: _kleene_components(
+            system, start, len(system.tokens()) + 1, ProvError)
+    return None
+
+
+def _exact_result(system, method):
     """The SolveResult of an exact method, after one full application of
     the system has reproduced the values."""
+    evaluated_before = system.evaluations
+    values, iterations, saturated = method(system)
     out = system.apply(values)
     for var, value in values.items():
         if not _unchanged(out[var], value):
@@ -509,9 +554,9 @@ def _exact_result(system, values, iterations, saturated, evaluated_before):
                        evaluations=system.evaluations - evaluated_before)
 
 
-def kleene_lfp(system, config=None):
-    """Least fixed point, exact where the semiring allows (see the module
-    docstring), otherwise by ascending Kleene iteration from 0.
+def kleene_lfp(system):
+    """Least fixed point, by the method of the module docstring that the
+    semiring admits.
 
     In a positive semiring (no zero sums, no zero divisors) that is not
     idempotent (nat, natpoly, natinf) a variable x of the lfp support on a
@@ -526,53 +571,37 @@ def kleene_lfp(system, config=None):
     exists: every fixed point lies above every iterate, and values bounded
     in the natural order have bounded coefficient sums.
 
-    dualnat keeps the numeric path and its budget.  Complementary tokens
-    multiply to 0 there (p * ~p = 0), so it is not positive: a product of
-    nonzero values can vanish, the trees that go round a cycle of nonzero
-    variables may all have value 0, and the support argument above does not
-    apply as it stands.
+    dualnat is not positive (p * ~p = 0), so a product of nonzero values
+    can vanish and the support argument does not apply; the n+1 rule does,
+    because pumping a tree keeps its tokens and so its value nonzero.
     """
     handle = system.handle
-    flags = handle.flags
-    evaluated_before = system.evaluations
-    if flags.absorptive:
-        values, iterations, saturated = _absorptive_fixpoint(system, handle.zero, False)
-    elif flags.positive and not flags.idempotent_add:
-        values, saturated = _support_lfp(system)
-        iterations = 0
-    else:
-        start = {var: handle.zero for var in system.equations}
-        return _iterate(system, start, "lfp", config or SolverConfig())
-    return _exact_result(system, values, iterations, saturated, evaluated_before)
+    method = _method(handle, descending=False)
+    if method is None:
+        raise ProvError(f"no least-fixed-point method for semiring {handle.name!r}")
+    return _exact_result(system, method)
 
 
-def kleene_gfp(system, config=None):
-    """Greatest fixed point: the closed form of the module docstring in an
-    absorptive semiring, otherwise descending iteration from the top."""
+def kleene_gfp(system):
+    """Greatest fixed point, by the method of the module docstring that the
+    semiring admits."""
     handle = system.handle
     if not handle.flags.fully_omega_continuous:
         raise NotFullyOmegaContinuous(
             f"semiring {handle.name!r} does not support greatest fixed points"
         )
-    if handle.top is not None:
-        top = handle.top
-    elif isinstance(handle, PolySemiring):
-        top = handle.top_for_tokens(system.tokens())
-    else:
-        raise NotFullyOmegaContinuous(f"no top element for semiring {handle.name!r}")
-    if handle.flags.absorptive:
-        evaluated_before = system.evaluations
-        values, iterations, saturated = _absorptive_fixpoint(system, top, True)
-        return _exact_result(system, values, iterations, saturated, evaluated_before)
-    start = {var: top for var in system.equations}
-    return _iterate(system, start, "gfp", config or SolverConfig())
+    method = _method(handle, descending=True)
+    if method is None:
+        raise NotFullyOmegaContinuous(f"no greatest-fixed-point method for semiring "
+                                      f"{handle.name!r}")
+    return _exact_result(system, method)
 
 
-def solve_game(game, basic, fixpoint="mu", config=None):
+def solve_game(game, basic, fixpoint="mu"):
     """Game valuation as the mu (lfp) or nu (gfp) solution of its system."""
     system = build_system(game, basic)
     if fixpoint == "mu":
-        return kleene_lfp(system, config)
+        return kleene_lfp(system)
     if fixpoint == "nu":
-        return kleene_gfp(system, config)
+        return kleene_gfp(system)
     raise ProvError(f"unknown fixpoint selector {fixpoint!r}")

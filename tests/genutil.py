@@ -1,5 +1,7 @@
 """Seeded random generators for games, formulas, and interpretations, and
-the saturation policies of the numeric solver that the test references use.
+the saturation policies of the numeric solver that the test references
+keep: Kleene iteration followed by a saturation phase, which the solver
+replaced by exact methods per strongly connected component.
 
 The seed comes from PROV_SEED (default 20240817) so failures reproduce.
 """
@@ -199,13 +201,19 @@ def cap_exponents(p, threshold):
                       p.truncated)
 
 
+def cap_coefficients(p, threshold):
+    """Coefficients >= threshold become INF (no copy when none is that large)."""
+    if not any(c is not INF and c >= threshold for c in p.monos.values()):
+        return p
+    return Polynomial(p.kind, {m: INF if c is INF or c >= threshold else c
+                               for m, c in p.monos.items()}, p.truncated)
+
+
 def reference_saturate(handle, a, threshold, direction):
     """The `saturate` hook of the semiring handles as it was while every
-    fixed point went through Kleene iteration and saturation.  The solver
-    no longer reaches most of these policies: tropical and viterbi gfp,
-    natinf lfp, and gfp of the kinds with inf exponents are solved exactly,
-    and its one remaining rule caps the coefficients of truncated series in
-    lfp.  A semiring without a policy raised NoConvergence."""
+    fixed point went through Kleene iteration and saturation; its last rule
+    capped the coefficients of truncated series in lfp.  A semiring without
+    a policy raised NoConvergence."""
     if direction == "gfp":
         if handle.name == "tropical":
             return INF if a is not INF and a >= threshold else a
@@ -217,7 +225,7 @@ def reference_saturate(handle, a, threshold, direction):
         return INF if a is not INF and a >= threshold else a
     if isinstance(handle, PolySemiring):
         if direction == "lfp" and handle.kind.inf_coefficients:
-            return a.cap_coefficients(threshold)
+            return cap_coefficients(a, threshold)
         return a
     if isinstance(handle, NatInfSemiring):
         return a

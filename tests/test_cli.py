@@ -5,12 +5,11 @@ import time
 
 import pytest
 
-from provgames import cli, logic
+from provgames import cli
 from provgames.cli import main
 from provgames.logic import MAX_FORMULA_DEPTH
 from provgames.poly import parse_poly
 from provgames.semirings import get_semiring
-from provgames.solver import kleene_lfp
 
 FIXTURES = "fixtures"
 REACH = f"{FIXTURES}/reach.game"
@@ -174,6 +173,11 @@ def test_exit_usage_on_bad_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval-game", REACH, "--fixpoint", "sideways"])
     assert exc.value.code == 1
+    # --max-iter bounded only the retired numeric solver.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-system", REACH, "--semiring", "dualnat", "--max-iter", "7"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --max-iter 7" in capsys.readouterr().err
 
 
 def test_exit_usage_on_missing_command(capsys):
@@ -333,20 +337,3 @@ def test_direct_mode_fails_fast_without_least_fixed_point(capsys, tmp_path):
     assert out == ""
     assert err.count("\n") == 1
     assert re.match(r"error: no least fixed point: 'R\([a-d],[a-d]\)' ", err)
-
-
-def test_max_iter_reaches_the_solver_in_direct_mode(capsys, tmp_path, monkeypatch):
-    budgets = []
-
-    def recording_lfp(system, config=None):
-        budgets.append(config.iterations_for(len(system.equations)))
-        return kleene_lfp(system, config)
-
-    monkeypatch.setattr(logic, "kleene_lfp", recording_lfp)
-    interp = tmp_path / "pi.interp"
-    interp.write_text("universe a b c\nE(a,b) = 1\nE(b,c) = 1\n")
-    tc = "[lfp R(x,y). E(x,y) | exists z.(E(x,z) & R(z,y))](a,c)"
-    code, out, _ = run(capsys, "eval-formula", tc, str(interp), "--inline",
-                       "--semiring", "natinf", "--mode", "direct", "--max-iter", "7")
-    assert (code, out) == (0, "value: 1\n")
-    assert budgets == [7]

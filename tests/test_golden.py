@@ -10,12 +10,12 @@ the outer relation, a first-order sentence with negation), over each
 semiring in FORMULA_SEMIRINGS: the numeric ones read `fixtures/graph.interp`,
 the polynomial ones `fixtures/graph-tokens.interp`, the same graph with one
 token per literal.  natpoly and dualnat are left out of the formula
-commands: the graph's cycle has no least fixed point there, and when these
-entries were recorded `--mode direct` in both, and `--mode game` in
-dualnat, ran past 15 s on `tc.formula` without an answer.  `pump.game`, a
-cycle whose product is 1, is solved (mu and nu) in the truncated series of
-PUMP_SEMIRINGS, where its least fixed point is pinned to inf on the
-numeric path, and `check laws` runs on every shipped semiring selector.
+commands: the graph's cycle has no least fixed point there, so they would
+record only the exit-4 message.  `pump.game`, a cycle whose product is 1, is
+solved (mu and nu) in the truncated series of PUMP_SEMIRINGS, where its
+least fixed point puts inf on the monomials fed into the cycle (the degree
+levels of the solver), and `check laws` runs on every shipped semiring
+selector.
 The entries of MORE_SEMIRINGS, `pump.game` and `check laws` come last, in
 the order they were appended to the snapshot.  To record the current
 behaviour as the new snapshot (only when a change of output is intended):

@@ -246,18 +246,6 @@ def marked_polys(kind):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(marked_polys(trunc_kind(5)), st.integers(min_value=1, max_value=5))
-def test_cap_coefficients_matches_rebuild(p, threshold):
-    rebuilt = Polynomial(
-        p.kind,
-        {m: (INF if (c is INF or c >= threshold) else c) for m, c in p.monos.items()},
-        p.truncated,
-    )
-    capped = p.cap_coefficients(threshold)
-    assert capped == rebuilt and capped.truncated == rebuilt.truncated
-
-
 def reference_pow_inf(handle, a):
     """PolySemiring.pow_inf of the antichain kinds with inf exponents as it
     was before the closed form: multiply by a until the exponents, capped
