@@ -120,6 +120,14 @@ def _emit(lines, fmt):
         print(line)
 
 
+def _named(names, texts):
+    """The `name: text` lines, each put in place of its text, so that a
+    large output is not held twice."""
+    for i, name in enumerate(names):
+        texts[i] = f"{name}: {texts[i]}"
+    return texts
+
+
 def _handle(args):
     selector = args.semiring
     if args.trunc_degree is not None and selector.split(":")[0] in ("series", "seriesdual"):
@@ -127,12 +135,14 @@ def _handle(args):
     return get_semiring(selector)
 
 
-def _specialize(value, handle, args):
-    if not args.assign:
-        return value, handle
+def _format(values, handle, args):
+    """The printed text of each value: its `--assign` specialization into
+    the `--into` semiring when asked for, formatted as one batch."""
+    if not args.assign or not values:
+        return handle.format_values(values)
     if args.into is None:
         raise ProvError("--assign requires --into <semiring>")
-    if not isinstance(value, Polynomial):
+    if not all(isinstance(value, Polynomial) for value in values):
         raise ProvError("--assign needs a polynomial semiring result")
     target = get_semiring(args.into)
     assignment = {}
@@ -141,7 +151,7 @@ def _specialize(value, handle, args):
         if not raw:
             raise ProvError(f"bad --assign entry {entry!r}")
         assignment[tok] = target.parse_value(raw)
-    return specialize(value, target, assignment), target
+    return target.format_values([specialize(value, target, assignment) for value in values])
 
 
 def _sort_key(name):
@@ -163,12 +173,9 @@ def cmd_eval_game(args):
         values = result.values
         meta = [f"iterations: {result.iterations}",
                 f"saturated: {str(result.saturated).lower()}"]
-    lines = []
-    for v in sorted(game.owners, key=_sort_key):
-        if game.is_terminal(v) and args.format == "text":
-            continue
-        value, h = _specialize(values[v], handle, args)
-        lines.append(f"{v}: {h.format_value(value)}")
+    shown = [v for v in sorted(game.owners, key=_sort_key)
+             if not (game.is_terminal(v) and args.format == "text")]
+    lines = _named(shown, _format([values[v] for v in shown], handle, args))
     if args.format == "structured":
         lines = [f"command: eval-game", f"semiring: {handle.name}"] + meta + lines
     _emit(lines, args.format)
@@ -194,8 +201,8 @@ def cmd_eval_formula(args):
         value = poslfp_eval_direct(pi, to_nnf(formula))
     else:
         value = game_eval(pi, formula, args.player)
-    value, h = _specialize(value, handle, args)
-    lines = [f"value: {h.format_value(value)}"]
+    (text,) = _format([value], handle, args)
+    lines = [f"value: {text}"]
     if args.format == "structured":
         lines = ["command: eval-formula", f"semiring: {handle.name}",
                  f"mode: {args.mode}"] + lines
@@ -217,9 +224,8 @@ def cmd_solve_system(args):
         f"saturated: {str(result.saturated).lower()}",
         f"verified: {str(result.verified).lower()}",
     ]
-    for v in sorted(game.owners, key=_sort_key):
-        value, h = _specialize(result.values[v], handle, args)
-        lines.append(f"{v}: {h.format_value(value)}")
+    positions = sorted(game.owners, key=_sort_key)
+    lines += _named(positions, _format([result.values[v] for v in positions], handle, args))
     if args.format == "structured":
         lines = ["command: solve-system", f"semiring: {handle.name}"] + lines
     _emit(lines, args.format)
@@ -279,11 +285,8 @@ def cmd_census(args):
             game, basic, args.player, args.root, depth
         )
         mode = "mu"
-    entries = []
-    for s in strategies:
-        value = strategy_value(s, game, basic, mode)
-        entries.append((handle.format_value(value), s))
-    entries.sort(key=lambda e: e[0])
+    texts = handle.format_values([strategy_value(s, game, basic, mode) for s in strategies])
+    entries = sorted(zip(texts, strategies), key=lambda e: e[0])
     flags = absorption_dominant_flags([s for _, s in entries], game)
     lines = [f"strategies: {len(entries)}"]
     for (text, s), dominant in zip(entries, flags):

@@ -11,6 +11,7 @@ class Infinity:
     """Singleton positive infinity for exact arithmetic over N u {inf}."""
 
     _instance = None
+    _hash = hash("provgames-infinity")
 
     def __new__(cls):
         if cls._instance is None:
@@ -24,7 +25,7 @@ class Infinity:
         return other is self
 
     def __hash__(self):
-        return hash("provgames-infinity")
+        return self._hash
 
     def __lt__(self, other):
         return False

@@ -527,7 +527,8 @@ def _resolve(term, env, universe):
 
 
 class _Compiler:
-    """Compiles a formula under an interpretation into one equation system.
+    """Compiles a formula in negation normal form under an interpretation
+    into one equation system (its callers convert to NNF once, up front).
 
     A subformula compiles to a right-hand side in the `EquationSystem`
     format: ('const', value) when it mentions no bound relation, else
@@ -563,8 +564,6 @@ class _Compiler:
             a = _resolve(f.left, env, pi.universe)
             b = _resolve(f.right, env, pi.universe)
             return "const", pi.equality(a, b, f.negated)
-        if isinstance(f, Not):
-            return self.compile(to_nnf(f), env, rel_env)
         if isinstance(f, (And, Or)):
             parts = [self.compile(f.left, env, rel_env), self.compile(f.right, env, rel_env)]
             return self.combine("prod" if isinstance(f, And) else "sum", parts)
@@ -627,7 +626,7 @@ def _tuple_var(name, args):
 
 def fo_eval(pi, sentence):
     """Compositional semiring value of a first-order sentence."""
-    return _Compiler(pi, fixpoints=False).compile(sentence, {}, {})[1]
+    return _Compiler(pi, fixpoints=False).compile(to_nnf(sentence), {}, {})[1]
 
 
 # --- model-checking games -----------------------------------------------------

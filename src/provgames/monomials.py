@@ -19,6 +19,15 @@ result is sorted by token, has no repeated token and only exponents >= 1 or
 INF, because both operands have these properties; so it is built by the
 trusted constructor `Monomial._canonical`, without the sorting, merging and
 validation of `Monomial.__init__`.
+
+Every monomial carries a token-support signature `sig`, a 64-bit mask with
+bit `hash(t) & 63` set for each of its tokens t.  A product's support is the
+union of its operands' supports, so `mul` ORs their signatures.  If m2
+absorbs m1, every token of m2 occurs in m1, so `m2.sig & ~m1.sig == 0`: the
+signature test is a necessary condition for absorption and is made before
+the exact walk over the exponents.  Two tokens whose hashes agree in the low
+6 bits only make the test pass where the walk then fails; they cost time,
+never a wrong answer, so no result depends on the string hashes.
 """
 
 from .infinity import INF, ext_add
@@ -33,10 +42,18 @@ def negate_token(token):
     return NEG_PREFIX + token
 
 
+def token_signature(tokens):
+    """The signature of a set of tokens (see the module docstring)."""
+    sig = 0
+    for t in tokens:
+        sig |= 1 << (hash(t) & 63)
+    return sig
+
+
 class Monomial:
     """Immutable product of token powers; exponents are ints >= 1 or INF."""
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("exps", "_hash", "sig")
 
     def __init__(self, exps=()):
         pairs = not isinstance(exps, dict)
@@ -58,6 +75,7 @@ class Monomial:
             cleaned = tuple(merged)
         object.__setattr__(self, "exps", cleaned)
         object.__setattr__(self, "_hash", hash(cleaned))
+        object.__setattr__(self, "sig", token_signature(t for t, _ in cleaned))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -86,12 +104,14 @@ class Monomial:
         return total
 
     @classmethod
-    def _canonical(cls, exps):
+    def _canonical(cls, exps, sig):
         """Trusted constructor: `exps` is already sorted by token, with no
-        repeated token and every exponent >= 1 or INF."""
+        repeated token and every exponent >= 1 or INF; `sig` is the
+        signature of its tokens."""
         mono = object.__new__(cls)
         object.__setattr__(mono, "exps", exps)
         object.__setattr__(mono, "_hash", hash(exps))
+        object.__setattr__(mono, "sig", sig)
         return mono
 
     def mul(self, other):
@@ -114,7 +134,7 @@ class Monomial:
             else:
                 out.append((t, e))
         out += left[i:]
-        return Monomial._canonical(tuple(out))
+        return Monomial._canonical(tuple(out), self.sig | other.sig)
 
     def has_complementary_pair(self):
         toks = set(self.tokens())
@@ -122,14 +142,14 @@ class Monomial:
 
     def cap_linear(self):
         """Image under the exponent-dropping quotient (all exponents -> 1)."""
-        return Monomial((t, 1) for t, _ in self.exps)
+        return Monomial._canonical(tuple((t, 1) for t, _ in self.exps), self.sig)
 
     def cap_at(self, bound):
         """Exponents >= bound become INF; cap_at(1) is the limit m^inf of the
         powers of m (see `PolySemiring.pow_inf`)."""
-        return Monomial(
-            (t, INF if (e is INF or e >= bound) else e) for t, e in self.exps
-        )
+        return Monomial._canonical(
+            tuple((t, INF if (e is INF or e >= bound) else e) for t, e in self.exps),
+            self.sig)
 
     def __repr__(self):
         return f"Monomial({format_monomial(self)})"
@@ -140,6 +160,8 @@ ONE_MONOMIAL = Monomial()
 
 def mono_absorbs(m1, m2):
     """True iff m2 absorbs m1, i.e. m2 has pointwise <= exponents (m1 <= m2)."""
+    if m2.sig & ~m1.sig:
+        return False
     # Both exps tuples are sorted by token: walk them together.  Every token
     # of m2 has exponent >= 1, so it must occur in m1 as well.
     big = m1.exps
@@ -182,7 +204,7 @@ def normalize_antichain(monomials):
     """
     keep = []
     for m in rank_sorted(dict.fromkeys(monomials)):
-        if not any(mono_absorbs(m, k) for k in keep):
+        if not _absorbed(m, keep):
             keep.append(m)
     return keep
 
@@ -196,9 +218,20 @@ def merge_antichains(a, b):
     monomial in both is kept once, at a's position.  Filtering and the
     stable sort by rank commute, so the order is normalize_antichain's.
     """
-    keep = [m for m in a if m in b or not any(mono_absorbs(m, n) for n in b)]
-    keep += [n for n in b if n not in a and not any(mono_absorbs(n, m) for m in a)]
+    keep = [m for m in a if m in b or not _absorbed(m, b)]
+    keep += [n for n in b if n not in a and not _absorbed(n, a)]
     return rank_sorted(keep)
+
+
+def _absorbed(m, others):
+    """Whether some monomial of `others` absorbs m.  The signature test of
+    `mono_absorbs` is made inline: most pairs fail it, and then the call is
+    not made."""
+    outside = ~m.sig
+    for n in others:
+        if not n.sig & outside and mono_absorbs(m, n):
+            return True
+    return False
 
 
 def _degree_sort_key(m):

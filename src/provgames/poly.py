@@ -35,7 +35,9 @@ The checks these results skip are implied by the operands.  Zero
 coefficients: every coefficient is >= 1 or INF, and so are their sums and
 products.  Complementary pairs: the operands' monomials have none.  So a
 union has none, and a product m1*m2 has one exactly when some token of m2 is
-the negation of a token of m1, which is all the pair loop tests; the
+the negation of a token of m1, which is all the pair loop tests (it compares
+the token sets only where the signature of m1's negated tokens meets m2's
+signature, a necessary condition; see `monomials`); the
 single-monomial antichain product tests each product, as `_canonicalize`
 does.  Multilinear cap: a union of multilinear monomials is multilinear, and
 multilinear kinds take the general product path.  INF exponents: a union
@@ -50,6 +52,10 @@ entries.  The sums put a's monomials first and then b's new ones, as the
 general route does, and the coefficient product places each monomial where
 its first pair puts it and drops the same products in place, so both have the
 general route's order.
+
+Values are printed with their terms in display order (`sort_monomials`).
+`format_polys` prints a batch of values, such as all positions of a game,
+with one sort of the batch's distinct monomials instead of one per value.
 """
 
 from dataclasses import dataclass
@@ -65,6 +71,7 @@ from .monomials import (
     normalize_antichain,
     rank_sorted,
     sort_monomials,
+    token_signature,
 )
 
 
@@ -219,10 +226,14 @@ class Polynomial:
                         kind, dict.fromkeys(rank_sorted(products), 1), truncated)
         out = {}
         bound = kind.degree_bound
+        negated, negated_sig = (), 0
         for m1, c1 in self.monos.items():
-            negated = {negate_token(t) for t, _ in m1.exps} if kind.dual else None
+            if kind.dual:
+                negated = {negate_token(t) for t, _ in m1.exps}
+                negated_sig = token_signature(negated)
             for m2, c2 in other.monos.items():
-                if negated and not negated.isdisjoint(m2.tokens()):
+                # m2 shares no token with `negated` unless the signatures meet.
+                if negated_sig & m2.sig and not negated.isdisjoint(m2.tokens()):
                     continue
                 m = m1.mul(m2)
                 if bound is not None and m.degree() > bound:
@@ -362,18 +373,34 @@ def series_geom(numerator, ratio, degree_bound):
 
 
 def format_poly(poly):
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for m in sort_monomials(poly.monos):
-        c = poly.monos[m]
-        if m.is_one:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(format_monomial(m))
-        else:
-            parts.append(f"{c}*{format_monomial(m)}")
-    return " + ".join(parts)
+    """The text of one value (see `format_polys`)."""
+    return format_polys([poly])[0]
+
+
+def format_polys(polys):
+    """The text of each value: its terms in display order (`sort_monomials`)
+    joined by " + ", or "0" for the zero value.
+
+    Values printed together share many monomials.  The batch's distinct
+    monomials are sorted once by `_degree_sort_key` and formatted once;
+    each value then orders its terms by their integer positions in that
+    sort.  The key is injective, so a value's terms come out in the order
+    a sort of that value alone gives.
+    """
+    # Keyed by the exps tuples: equal monomials are often distinct objects,
+    # and tuples compare without a call to `Monomial.__eq__`.
+    order = sort_monomials({m.exps: m for p in polys for m in p.monos}.values())
+    position = {m.exps: i for i, m in enumerate(order)}
+    texts = [format_monomial(m) for m in order]
+    out = []
+    for p in polys:
+        # Positions differ within a value, so the coefficients never compare.
+        terms = sorted([(position[m.exps], c) for m, c in p.monos.items()])
+        # The one monomial prints as "1", so a coefficient 1 prints its text.
+        out.append(" + ".join([
+            texts[i] if c == 1 else f"{c}*{texts[i]}" if order[i].exps else str(c)
+            for i, c in terms]) or "0")
+    return out
 
 
 class _PolyParser:

@@ -27,6 +27,7 @@ from .poly import (
     WHYPOLY,
     Polynomial,
     format_poly,
+    format_polys,
     parse_poly,
     series_geom,
     trunc_kind,
@@ -138,6 +139,10 @@ class Semiring:
 
     def format_value(self, a):
         return str(a)
+
+    def format_values(self, values):
+        """`format_value` of each value, for values printed together."""
+        return [self.format_value(a) for a in values]
 
     def sample_values(self):
         raise NotImplementedError
@@ -526,6 +531,9 @@ class PolySemiring(Semiring):
 
     def format_value(self, a):
         return format_poly(a)
+
+    def format_values(self, values):
+        return format_polys(values)
 
     def sample_values(self):
         kind = self.kind

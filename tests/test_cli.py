@@ -1,5 +1,6 @@
 """CLI behavior: output shape, determinism, round-trips, exit codes."""
 
+import random
 import re
 import time
 
@@ -7,8 +8,10 @@ import pytest
 
 from provgames import cli
 from provgames.cli import main
+from provgames.gamefile import parse_game_file
+from provgames.games import acyclic_valuation
 from provgames.logic import MAX_FORMULA_DEPTH
-from provgames.poly import parse_poly
+from provgames.poly import parse_poly, specialize
 from provgames.semirings import get_semiring
 
 FIXTURES = "fixtures"
@@ -337,3 +340,54 @@ def test_direct_mode_fails_fast_without_least_fixed_point(capsys, tmp_path):
     assert out == ""
     assert err.count("\n") == 1
     assert re.match(r"error: no least fixed point: 'R\([a-d],[a-d]\)' ", err)
+
+
+def _layered_game(rng, layers, width, products):
+    """Game file text of an acyclic layered game: every position of a
+    product layer (and some others) belongs to player 1 and has two moves,
+    terminal values are tokens written plain or negated, and some moves
+    carry a token."""
+    grid = [[f"p{l}_{i}" for i in range(width)] for l in range(layers)]
+    leaves = [f"t{i}" for i in range(width)]
+    lines = [f"position {t} terminal" for t in leaves]
+    for l, row in enumerate(grid):
+        nxt = grid[l + 1] if l + 1 < layers else leaves
+        for v in row:
+            owner = 1 if (l in products or rng.random() < 0.3) else 0
+            lines.append(f"position {v} player{owner}")
+            for w in rng.sample(nxt, 2 if (owner == 0 or l in products) else 1):
+                token = f"  h0=x{rng.randrange(2)}" if rng.random() < 0.15 else ""
+                lines.append(f"move {v} {w}{token}")
+    lines += [f"value0 {t} = {'~' if rng.random() < 0.5 else ''}s{rng.randrange(3)}"
+              for t in leaves]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("selector", ("natpoly", "dualnat", "sorp"))
+def test_eval_game_prints_each_value_as_format_value(capsys, tmp_path, selector):
+    text = _layered_game(random.Random(5), layers=6, width=6, products={2, 4})
+    path = tmp_path / "layered.game"
+    path.write_text(text)
+    handle = get_semiring(selector)
+    gf = parse_game_file(text)
+    game = gf.graph()
+    values = acyclic_valuation(game, gf.basic_valuation(handle, 0))
+    assert max(len(values[v].monos) for v in game.owners) >= 10
+    target = get_semiring("natinf")
+    tokens = ["s0", "s1", "s2", "x0", "x1"]
+    assignment = {t: target.parse_value(str(i + 1)) for i, t in enumerate(tokens)}
+    assignment.update({"~" + t: target.zero for t in tokens})
+    assign = [a for t, v in assignment.items() for a in ("--assign", f"{t}={v}")]
+    for fmt in ("text", "structured"):
+        for extra, h, convert in (
+                ((), handle, lambda v: v),
+                (("--into", "natinf", *assign), target,
+                 lambda v: specialize(v, target, assignment))):
+            code, out, _ = run(capsys, "eval-game", str(path), "--semiring", selector,
+                               "--format", fmt, *extra)
+            assert code == 0
+            printed = [line for line in out.splitlines()
+                       if line.partition(": ")[0] in game.owners]
+            shown = sorted(v for v in game.owners
+                           if fmt == "structured" or not game.is_terminal(v))
+            assert printed == [f"{v}: {h.format_value(convert(values[v]))}" for v in shown]

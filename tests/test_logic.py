@@ -2,6 +2,7 @@
 
 import pytest
 
+from provgames import logic
 from provgames.errors import (
     ArityError,
     FormulaSyntaxError,
@@ -270,6 +271,34 @@ def test_fo_eval_tracking_never_forms_complementary_monomials():
     assert val == DUALNAT.add(pbar, DUALNAT.mul(p, q))
     # And multiplying the two alternatives erases the cross terms entirely.
     assert DUALNAT.mul(pbar, p) == DUALNAT.zero
+
+
+def _size(f):
+    """Number of nodes of a first-order formula."""
+    if isinstance(f, (Atom, Eq)):
+        return 1
+    if isinstance(f, (And, Or)):
+        return 1 + _size(f.left) + _size(f.right)
+    return 1 + _size(f.sub)
+
+
+def test_fo_eval_converts_to_nnf_once(monkeypatch):
+    f = parse_formula("forall z. exists x. !(R(x) & !(exists y. (E(x,y) & !E(y,z))))")
+    universe = ("a", "b", "c")
+    pi = random_interpretation(make_rng(salt=13), DUALNAT, universe)
+    expected = game_eval(pi, f, 0)
+    calls = []
+    real = logic.to_nnf
+
+    def counting(formula, negate=False):
+        calls.append(formula)
+        return real(formula, negate)
+
+    monkeypatch.setattr(logic, "to_nnf", counting)
+    assert fo_eval(pi, f) == expected
+    # One conversion visits each node once, whatever the universe's size;
+    # converting again under each quantifier binding would not.
+    assert 0 < len(calls) <= _size(f)
 
 
 def test_fo_eval_requires_sentence():

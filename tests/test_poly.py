@@ -13,9 +13,11 @@ from provgames.monomials import (
     Monomial,
     _degree_sort_key,
     format_monomial,
+    merge_antichains,
     mono_absorbs,
     normalize_antichain,
     sort_monomials,
+    token_signature,
 )
 from provgames.poly import (
     BOOLPOLY,
@@ -28,6 +30,7 @@ from provgames.poly import (
     WHYPOLY,
     Polynomial,
     format_poly,
+    format_polys,
     parse_poly,
     project,
     series_geom,
@@ -567,3 +570,117 @@ def test_series_star_keeps_truncation_marker():
     assert not reference_star(handle, p).truncated
     one = handle.star(handle.zero)
     assert one == handle.one and not one.truncated
+
+
+# --- token signatures ---------------------------------------------------------
+
+
+def _signature_bit(token):
+    return hash(token) & 63
+
+
+@settings(max_examples=200, deadline=None)
+@given(MONO_EXPS, MONO_EXPS, st.integers(min_value=1, max_value=4))
+def test_every_construction_sets_the_token_signature(d1, d2, bound):
+    m1, m2 = Monomial(d1), Monomial(d2.items())
+    for m in (m1, m2, m1.mul(m2), m2.mul(m1), m1.mul(ONE_MONOMIAL),
+              m1.cap_at(bound), m2.cap_linear(), ONE_MONOMIAL):
+        assert m.sig == sum({1 << _signature_bit(t) for t in m.tokens()})
+
+
+def _colliding_tokens():
+    """Token names found under this process's string hashes: a and b set the
+    same signature bit, and c sets the bit of ~a without being ~a."""
+    names = [f"t{i}" for i in range(10_000)]
+    seen = {}
+    for b in names:
+        a = seen.setdefault(_signature_bit(b), b)
+        if a != b:
+            break
+    c = next(n for n in names if _signature_bit(n) == _signature_bit("~" + a))
+    return a, b, c
+
+
+COLLIDING = _colliding_tokens()
+
+
+def colliding_polys(kind):
+    a, b, c = COLLIDING
+    exps = st.integers(min_value=1, max_value=3)
+    if kind.inf_exponents:
+        exps = st.one_of(exps, st.just(INF))
+    mono = st.dictionaries(st.sampled_from((a, b, c, "~" + a, "~" + b)), exps,
+                           max_size=3).map(lambda d: Monomial(d.items()))
+    return st.dictionaries(mono, st.integers(min_value=1, max_value=3), max_size=5).map(
+        lambda monos: Polynomial(kind, monos))
+
+
+def test_colliding_tokens_collide():
+    a, b, c = COLLIDING
+    ma, mb, mc = Monomial({a: 1}), Monomial({b: 1}), Monomial({c: 1})
+    assert a != b and ma.sig == mb.sig
+    assert c != "~" + a and token_signature(["~" + a]) & mc.sig
+    # The signature test passes; the exact test decides.
+    assert not mono_absorbs(ma, mb) and not mono_absorbs(mb, ma)
+    assert normalize_antichain([ma, mb]) == [ma, mb]
+    assert (Polynomial.token(DUALNAT, a) * Polynomial.token(DUALNAT, c)
+            == Polynomial(DUALNAT, {ma.mul(mc): 1}))
+
+
+@pytest.mark.parametrize("kind", (POSBOOL, SORP, SORPINF, SORPINFDUAL), ids=str)
+def test_kernel_matches_reference_under_signature_collisions(kind):
+    handle = PolySemiring(kind)
+
+    @settings(max_examples=100, deadline=None)
+    @given(colliding_polys(kind), colliding_polys(kind))
+    def check(x, y):
+        pool = list(x.monos) + list(y.monos)
+        assert set(normalize_antichain(pool)) == reference_antichain(pool)
+        assert merge_antichains(x.monos, y.monos) == normalize_antichain(pool)
+        for m1 in pool:
+            for m2 in pool:
+                assert mono_absorbs(m1, m2) == reference_absorbs(m1, m2)
+        for u, v in ((x, y), (y, x), (x, x + y)):
+            assert handle.leq(u, v) == all(
+                any(reference_absorbs(m, n) for n in v.monos) for m in u.monos)
+        assert list((x * y).monos) == list(reference_product(x, y).monos)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", (DUALNAT, SORPINFDUAL, trunc_kind(4, dual=True)), ids=str)
+def test_dual_products_match_reference_under_signature_collisions(kind):
+    @settings(max_examples=100, deadline=None)
+    @given(colliding_polys(kind), colliding_polys(kind))
+    def check(x, y):
+        for u, v in ((x, y), (y, x)):
+            got, want = u * v, reference_product(u, v)
+            assert got == want and list(got.monos) == list(want.monos)
+
+    check()
+
+
+def test_infinity_hash_is_unchanged():
+    assert hash(INF) == hash("provgames-infinity")
+
+
+# --- batch printing -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS, ids=str)
+def test_format_polys_matches_one_by_one(kind):
+    zero, one = Polynomial.zero(kind), Polynomial.one(kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(kernel_polys(kind), max_size=4))
+    def check(values):
+        # Sums and products share monomials with their operands.
+        batch = values + [zero, one] + [a + b for a in values for b in values[:2]]
+        batch += [a * b for a in values[:2] for b in values[:2]]
+        want = [reference_format(v) for v in batch]
+        assert format_polys(batch) == want
+        assert [format_poly(v) for v in batch] == want
+        assert PolySemiring(kind).format_values(batch) == want
+
+    check()
+
