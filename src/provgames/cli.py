@@ -285,7 +285,7 @@ def cmd_census(args):
             game, basic, args.player, args.root, depth
         )
         mode = "mu"
-    texts = handle.format_values([strategy_value(s, game, basic, mode) for s in strategies])
+    texts = _format([strategy_value(s, game, basic, mode) for s in strategies], handle, args)
     entries = sorted(zip(texts, strategies), key=lambda e: e[0])
     flags = absorption_dominant_flags([s for _, s in entries], game)
     lines = [f"strategies: {len(entries)}"]

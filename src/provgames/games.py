@@ -7,6 +7,7 @@ with infinite exponents, but are never materialized as trees.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import (
     BudgetExceeded,
@@ -27,19 +28,24 @@ class GameGraph:
     def __init__(self, owners, moves):
         """owners: mapping position -> 0 | 1 | 'terminal'; moves: edge pairs."""
         self.owners = dict(owners)
-        self.moves = []
+        self.moves = list(map(tuple, moves))
+        if (len(set(self.moves)) != len(self.moves)
+                or not self.owners.keys() >= set(chain.from_iterable(self.moves))):
+            self._reject_moves()
+        self._succ = {v: [] for v in self.owners}
+        for u, v in self.moves:
+            self._succ[u].append(v)
+        self._order = _UNKNOWN
+
+    def _reject_moves(self):
+        """Raise for the first parallel move or move with an unknown end."""
         seen = set()
-        for u, v in moves:
+        for u, v in self.moves:
             if (u, v) in seen:
                 raise MalformedGame(f"parallel move {u!r} -> {v!r}")
             seen.add((u, v))
             if u not in self.owners or v not in self.owners:
                 raise MalformedGame(f"move {u!r} -> {v!r} uses unknown position")
-            self.moves.append((u, v))
-        self._succ = {v: [] for v in self.owners}
-        for u, v in self.moves:
-            self._succ[u].append(v)
-        self._order = _UNKNOWN
 
     @property
     def positions(self):

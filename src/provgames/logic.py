@@ -4,15 +4,16 @@ Covers the formula grammar and parser, negation normal form, interpretations
 of instantiated literals, the model-checking game construction, and three
 valuations.  The game-based one solves the equation system of the
 model-checking game.  The direct fixed-point semantics compiles the formula
-itself into an equation system, one variable per tuple of each lfp relation
-(nested fixed points join the same system), and solves it with the same
-`kleene_lfp`; the compositional valuation of a first-order sentence is the
-fixed-point-free case of that compiler, where every subformula folds to a
-constant.  The two routes to a posLFP value share only the solver, so
-comparing them checks the game construction.
+itself into an equation system, one variable per tuple the sentence reaches
+of each lfp relation (nested fixed points join the same system), and solves
+it with the same `kleene_lfp`; the compositional valuation of a first-order
+sentence is the fixed-point-free case of that compiler, where every
+subformula folds to a constant.  The two routes to a posLFP value share only
+the solver, so comparing them checks the game construction.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     ArityError,
@@ -539,9 +540,12 @@ class _Compiler:
     coefficient of its first term, and a zero one makes the product 0.
 
     Every lfp occurrence is one relation instance, with one variable
-    `R(a,b)` per tuple of the universe; nested fixed points join the same
-    system (Bekic).  A fixed-point body sees its own parameters only, so the
-    instance does not depend on where the occurrence is evaluated.
+    `R(a,b)` per tuple the sentence reaches; nested fixed points join the
+    same system (Bekic).  A fixed-point body sees its own parameters only,
+    so the instance does not depend on where the occurrence is evaluated.
+    `compile` only queues a tuple variable the first time it references it;
+    `drain` compiles the queued bodies, which may queue more, until none is
+    left.
     """
 
     ONE = "1"
@@ -552,13 +556,16 @@ class _Compiler:
         self.fixpoints = fixpoints
         self.equations = {}
         self.instances = {}  # id of an Fp node -> its relation instance name
+        self.bodies = {}  # instance name -> (params, body, relation environment)
+        self.reached = set()  # tuple variables referenced so far
+        self.pending = []  # (variable, instance name, args) not compiled yet
 
     def compile(self, f, env, rel_env):
         pi = self.pi
         if isinstance(f, Atom):
             args = tuple(_resolve(t, env, pi.universe) for t in f.args)
             if f.rel in rel_env:
-                return "sum", [(self.handle.one, _tuple_var(rel_env[f.rel], args))]
+                return "sum", [(self.handle.one, self.tuple_var(rel_env[f.rel], args))]
             return "const", pi.literal(f.rel, args, not f.negated)
         if isinstance(f, Eq):
             a = _resolve(f.left, env, pi.universe)
@@ -575,7 +582,7 @@ class _Compiler:
                 raise NotPosLFP("fo_eval handles first-order sentences only")
             name = self.instance(f, rel_env)
             args = tuple(_resolve(t, env, pi.universe) for t in f.args)
-            return "sum", [(self.handle.one, _tuple_var(name, args))]
+            return "sum", [(self.handle.one, self.tuple_var(name, args))]
         raise ProvError(f"unknown formula node {f!r}")
 
     def combine(self, op, parts):
@@ -607,17 +614,31 @@ class _Compiler:
         return var
 
     def instance(self, f, rel_env):
-        """The relation instance of an lfp occurrence, compiled on first use."""
+        """The relation instance of an lfp occurrence; its body is recorded
+        on first use and compiled one reached tuple at a time."""
         name = self.instances.get(id(f))
         if name is None:
             taken = f.rel in self.instances.values()
             name = f"{f.rel}#{len(self.instances) + 1}" if taken else f.rel
             self.instances[id(f)] = name
-            body_env = {**rel_env, f.rel: name}
-            for args in _tuples(self.pi.universe, len(f.params)):
-                self.equations[_tuple_var(name, args)] = self.compile(
-                    f.body, dict(zip(f.params, args)), body_env)
+            self.bodies[name] = (f.params, f.body, {**rel_env, f.rel: name})
         return name
+
+    def tuple_var(self, name, args):
+        """The variable of one tuple of an instance, queued on first use."""
+        var = _tuple_var(name, args)
+        if var not in self.reached:
+            self.reached.add(var)
+            self.pending.append((var, name, args))
+        return var
+
+    def drain(self):
+        """Compile the body of every queued tuple, and of every tuple those
+        bodies reach, so that the equations mention only defined variables."""
+        while self.pending:
+            var, name, args = self.pending.pop()
+            params, body, rel_env = self.bodies[name]
+            self.equations[var] = self.compile(body, dict(zip(params, args)), rel_env)
 
 
 def _tuple_var(name, args):
@@ -636,16 +657,25 @@ class MCGame:
     """A model-checking game plus the bookkeeping to valuate it.
 
     Positions are the integers 0, 1, ... in first-visit order, so `root` is
-    0; `labels[p]` is the (occurrence path, frozen environment) pair that
-    position p stands for.  Terminals map to instantiated literals
-    (rel, args, positive) or ('=', a, b, negated).
+    0.  A position is a subformula occurrence with values for the variables
+    its subgame can depend on; `labels[p]` spells position p out as the pair
+    (occurrence path, frozen environment), built on first use.  Terminals
+    map to instantiated literals (rel, args, positive) or ('=', a, b,
+    negated).
     """
 
-    def __init__(self, game, root, terminal_literals, labels):
+    def __init__(self, game, root, terminal_literals, keys, occurrences):
         self.game = game
         self.root = root
         self.terminal_literals = terminal_literals
-        self.labels = labels
+        self._keys = keys  # position -> (occurrence index, values)
+        self._occurrences = occurrences
+
+    @cached_property
+    def labels(self):
+        occurrences = self._occurrences
+        return [(occurrences[i].path, frozenset(zip(occurrences[i].variables, values)))
+                for i, values in self._keys]
 
     def basic_valuation(self, pi, player):
         handle = pi.handle
@@ -662,100 +692,183 @@ class MCGame:
         return BasicValuation(handle, player, f)
 
 
+class _Occurrence:
+    """One subformula occurrence in the plan of a model-checking game.
+
+    Its positions are keyed by values for `variables`, the environment
+    entries the subgame can depend on.  `kind` says how a position's moves
+    or literal follow from its values:
+
+    * 'branch' (And, Or): one successor per `children` entry (occurrence,
+      index map), whose values are the parent's picked by the index map
+      (None when the child keeps all of them);
+    * 'quant': one successor per universe element a, with the values picked
+      by `index` followed by a;
+    * 'unfold' (an lfp, or an atom of a relation bound by one): one
+      successor, the body occurrence `child`, with the resolved arguments;
+    * 'literal' (any other atom) and 'equality': a terminal.
+
+    Arguments resolve through `picks`, indices into the position's values
+    followed by `constants`; an unfolding picks one argument per distinct
+    parameter, the last one bound to it.  `error` is the (exception class,
+    message) the occurrence raises when a game reaches it.
+    """
+
+    __slots__ = ("path", "variables", "kind", "owner", "children", "child", "index",
+                 "picks", "constants", "literal", "error")
+
+    def __init__(self, path, variables):
+        self.path = path
+        self.variables = variables
+        self.error = None
+
+    def resolve(self, terms, members):
+        """Set `constants` and return the picks of the terms.  A term that
+        is neither a variable nor a universe element picks None and sets
+        `error`, unless an earlier check set it."""
+        picks, constants = [], []
+        for t in terms:
+            if t in self.variables:
+                picks.append(self.variables.index(t))
+            elif t in members:
+                picks.append(len(self.variables) + len(constants))
+                constants.append(t)
+            else:
+                picks.append(None)
+                if self.error is None:
+                    self.error = (NotSentence, f"unbound variable {t!r}")
+        self.constants = tuple(constants)
+        return tuple(picks)
+
+
+def _game_plan(formula, universe):
+    """The occurrences of an nnf formula in preorder, the whole formula
+    first.  A fixed-point body sees only its parameters, and an atom is
+    unfolded by the innermost fixed point around it that binds its symbol."""
+    members = set(universe)
+    occurrences = []
+
+    def plan(f, path, variables, binders):
+        number = len(occurrences)
+        occ = _Occurrence(path, variables)
+        occurrences.append(occ)
+        if isinstance(f, Atom) and f.rel in binders:
+            occ.kind, occ.owner = "unfold", 0
+            occ.child, params = binders[f.rel]
+            if f.negated:
+                occ.error = (NotPosLFP, f"fixed-point relation {f.rel} occurs negatively")
+            occ.picks = tuple(dict(zip(params, occ.resolve(f.args, members))).values())
+        elif isinstance(f, Atom):
+            occ.kind, occ.owner, occ.literal = "literal", TERMINAL, (f.rel, not f.negated)
+            occ.picks = occ.resolve(f.args, members)
+        elif isinstance(f, Eq):
+            occ.kind, occ.owner, occ.literal = "equality", TERMINAL, f.negated
+            occ.picks = occ.resolve((f.left, f.right), members)
+        elif isinstance(f, (And, Or)):
+            occ.kind, occ.owner = "branch", 0 if isinstance(f, Or) else 1
+            children = []
+            for i, sub in enumerate((f.left, f.right)):
+                keep = free_variables(sub)
+                sub_variables = tuple(v for v in variables if v in keep)
+                index = (None if sub_variables == variables
+                         else tuple(map(variables.index, sub_variables)))
+                children.append((plan(sub, path + (i,), sub_variables, binders), index))
+            occ.children = tuple(children)
+        elif isinstance(f, Quant):
+            occ.kind, occ.owner = "quant", 0 if f.kind == "exists" else 1
+            keep = free_variables(f.sub)
+            # The outer entries the body can see, without the one it shadows.
+            # The bound variable stays even when the body ignores it:
+            # collapsing the children would merge moves the owner can choose
+            # between, undercounting in non-idempotent semirings.
+            outer = tuple(v for v in variables if v in keep and v != f.var)
+            occ.index = tuple(map(variables.index, outer))
+            occ.child = plan(f.sub, path + (0,), outer + (f.var,), binders)
+        elif isinstance(f, Fp):
+            occ.kind, occ.owner = "unfold", 0
+            if f.kind != "lfp":
+                occ.error = (NotPosLFP, "greatest fixed points are outside the fragment")
+            binding = dict(zip(f.params, occ.resolve(f.args, members)))
+            occ.picks = tuple(binding.values())
+            # The body is planned next, so its index is the next one.
+            body_binders = {**binders, f.rel: (len(occurrences), f.params)}
+            occ.child = plan(f.body, path + (0,), tuple(binding), body_binders)
+        else:
+            occ.error = (ProvError, f"unknown formula node {f!r}")
+        return number
+
+    plan(formula, (), (), {})
+    return occurrences
+
+
 def build_mc_game(universe, formula):
     """The game of an nnf formula over the universe.
 
     Verifier (Player 0) owns disjunctions, existential quantifiers, and the
     unique-move unfolding positions of fixed points; Falsifier (Player 1)
     owns conjunctions and universal quantifiers.  A position is a subformula
-    occurrence with an assignment to its free variables; the game numbers
-    these pairs densely in first-visit order (the root is 0) and keeps each
-    pair in `MCGame.labels`, so every later layer hashes small integers.
+    occurrence with values for the variables its subgame can depend on,
+    keyed by (occurrence index, values tuple) after a plan made once per
+    formula (`_game_plan`).  The game numbers positions densely in
+    first-visit order of a depth-first search with an explicit stack (the
+    root is 0), appending each move once its target's subgame is built, so
+    every later layer hashes small integers and deep unfoldings do not
+    recurse.  An occurrence that is not in the fragment or not a sentence
+    raises when the search reaches it.
     """
     if not is_nnf(formula):
         raise NotNNF("model-checking games require negation normal form")
     universe = tuple(universe)
-    ids = {}  # (occurrence path, environment) -> position
-    labels = []
+    occurrences = _game_plan(formula, universe)
+    ids = {}  # (occurrence index, values) -> position
+    keys = []
     owners = {}
     moves = []
     terminal_literals = {}
-    # occurrence path -> free terms of the subformula there, which are the
-    # environment entries its subgame can depend on
-    supports = {}
 
-    def support(f, path):
-        if path not in supports:
-            supports[path] = free_variables(f)
-        return supports[path]
+    def enter(key):
+        """Number a new position; returns it with an iterator over the keys
+        of its successors."""
+        pos = ids[key] = len(keys)
+        keys.append(key)
+        i, values = key
+        occ = occurrences[i]
+        if occ.error is not None:
+            cls, message = occ.error
+            raise cls(message)
+        owners[pos] = occ.owner
+        kind = occ.kind
+        if kind == "branch":
+            return pos, iter([(child, values if index is None
+                               else tuple(map(values.__getitem__, index)))
+                              for child, index in occ.children])
+        if kind == "quant":
+            outer = tuple(map(values.__getitem__, occ.index))
+            return pos, iter([(occ.child, outer + (a,)) for a in universe])
+        args = tuple(map((values + occ.constants).__getitem__, occ.picks))
+        if kind == "unfold":
+            return pos, iter(((occ.child, args),))
+        if kind == "literal":
+            rel, positive = occ.literal
+            terminal_literals[pos] = (rel, args, positive)
+        else:
+            terminal_literals[pos] = ("=", args[0], args[1], occ.literal)
+        return pos, iter(())
 
-    # binders: rel -> (path of binder body, params, body)
-    def build(f, path, env, binders):
-        key = (path, env)
-        pos = ids.get(key)
-        if pos is not None:
-            return pos
-        pos = ids[key] = len(labels)
-        labels.append(key)
-        if isinstance(f, Atom) and f.rel in binders:
-            if f.negated:
-                raise NotPosLFP(f"fixed-point relation {f.rel} occurs negatively")
-            owners[pos] = 0
-            body_path, params, body = binders[f.rel]
-            e = dict(env)
-            args = tuple(_resolve(t, e, universe) for t in f.args)
-            new_env = frozenset(zip(params, args))
-            child = build(body, body_path, new_env, binders)
+    stack = [enter((0, ()))]
+    while stack:
+        pos, successors = stack[-1]
+        for key in successors:
+            child = ids.get(key)
+            if child is None:
+                stack.append(enter(key))
+                break
             moves.append((pos, child))
-            return pos
-        if isinstance(f, (Atom, Eq)):
-            owners[pos] = TERMINAL
-            e = dict(env)
-            if isinstance(f, Atom):
-                args = tuple(_resolve(t, e, universe) for t in f.args)
-                terminal_literals[pos] = (f.rel, args, not f.negated)
-            else:
-                a = _resolve(f.left, e, universe)
-                b = _resolve(f.right, e, universe)
-                terminal_literals[pos] = ("=", a, b, f.negated)
-            return pos
-        if isinstance(f, (And, Or)):
-            owners[pos] = 0 if isinstance(f, Or) else 1
-            for i, sub in enumerate((f.left, f.right)):
-                sub_path = path + (i,)
-                keep = support(sub, sub_path)
-                relevant = frozenset((k, v) for k, v in env if k in keep)
-                child = build(sub, sub_path, relevant, binders)
-                moves.append((pos, child))
-            return pos
-        if isinstance(f, Quant):
-            owners[pos] = 0 if f.kind == "exists" else 1
-            sub_path = path + (0,)
-            keep = support(f.sub, sub_path)
-            # The outer entries the body can see, without the one it shadows.
-            outer = frozenset((k, v) for k, v in env if k in keep and k != f.var)
-            for a in universe:
-                # Keep the bound variable even when the body ignores it:
-                # collapsing the children would merge moves the owner can
-                # choose between, undercounting in non-idempotent semirings.
-                child = build(f.sub, sub_path, outer | {(f.var, a)}, binders)
-                moves.append((pos, child))
-            return pos
-        if isinstance(f, Fp):
-            if f.kind != "lfp":
-                raise NotPosLFP("greatest fixed points are outside the fragment")
-            owners[pos] = 0
-            e = dict(env)
-            args = tuple(_resolve(t, e, universe) for t in f.args)
-            body_path = path + (0,)
-            new_binders = {**binders, f.rel: (body_path, f.params, f.body)}
-            child = build(f.body, body_path, frozenset(zip(f.params, args)), new_binders)
-            moves.append((pos, child))
-            return pos
-        raise ProvError(f"unknown formula node {f!r}")
-
-    root = build(formula, (), frozenset(), {})
-    return MCGame(GameGraph(owners, moves), root, terminal_literals, labels)
+        else:
+            stack.pop()
+            if stack:
+                moves.append((stack[-1][0], pos))
+    return MCGame(GameGraph(owners, moves), 0, terminal_literals, keys, occurrences)
 
 
 def game_eval(pi, sentence, player=0):
@@ -779,11 +892,24 @@ def game_eval(pi, sentence, player=0):
 
 def poslfp_eval_direct(pi, sentence):
     """Fixed-point semantics: the sentence's value in the least solution of
-    the equation system it compiles to, found by `kleene_lfp`."""
+    the equation system it compiles to, found by `kleene_lfp`.
+
+    Only the lfp tuples the sentence reaches are compiled (magic sets:
+    Bancilhon, Maier, Sagiv and Ullman, PODS 1986), and the value is the one
+    the system of every tuple would give.  A tuple's equation depends only
+    on its instance and arguments, and the compiled set is closed under
+    dependencies, so a strongly connected component of its dependency graph
+    is one of the full system's, with the same equations; `kleene_lfp`
+    solves each component from its already solved dependencies, so each
+    gets the same value.  What changes is that a component the sentence
+    never reaches is not solved, so it raises no `NoConvergence`, as in game
+    mode, whose unfolding positions are exactly the reached tuples.
+    """
     nnf = to_nnf(sentence)
     check_poslfp(nnf)
     compiler = _Compiler(pi, fixpoints=True)
     rhs = compiler.compile(nnf, {}, {})
+    compiler.drain()
     if rhs[0] == "const":
         return rhs[1]
     root = compiler.auxiliary(rhs)

@@ -101,7 +101,7 @@ evaluation gives.  The first step on each component evaluates it all.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 
 from .errors import NoConvergence, NotFullyOmegaContinuous, ProvError
@@ -180,22 +180,27 @@ class EquationSystem:
 
     def evaluate(self, var, assignment):
         """The value of var's right-hand side under the assignment, which
-        needs to cover only var's dependencies: zero + c*x + ... for a sum,
-        one * (c*x) * ... for a product."""
+        needs to cover only var's dependencies: c*x + ... for a sum,
+        (c*x) * ... for a product, zero or one when the body is empty.
+
+        A term whose coefficient is the handle's own `one` is its value, and
+        the fold starts from the first term: this is the full fold
+        zero + 1*x + ... or one * (1*x) * ... with its unit steps left out.
+        It gives the same values and `truncated` markers, since in every
+        shipped semiring zero + a and one * a equal a, and a polynomial
+        returns a itself when the other operand is an unmarked zero or one
+        (the handles' `zero` and `one` are unmarked)."""
         tag, body = self.equations[var]
         if tag == "const":
             return body
         self.evaluations += 1
         handle = self.handle
-        if tag == "sum":
-            acc = handle.zero
-            for coeff, dep in body:
-                acc = handle.add(acc, handle.mul(coeff, assignment[dep]))
-        else:
-            acc = handle.one
-            for coeff, dep in body:
-                acc = handle.mul(acc, handle.mul(coeff, assignment[dep]))
-        return acc
+        if not body:
+            return handle.zero if tag == "sum" else handle.one
+        one, mul = handle.one, handle.mul
+        return reduce(handle.add if tag == "sum" else mul,
+                      [assignment[dep] if coeff is one else mul(coeff, assignment[dep])
+                       for coeff, dep in body])
 
     def tokens(self):
         """All indeterminates occurring in polynomial constants/coefficients."""

@@ -162,6 +162,25 @@ def test_census_absdom(capsys):
     ]
 
 
+def test_census_specializes_with_assign_and_into(capsys):
+    # s*t, s*t, s^2 and t^2 under s=2, t=3 in natinf; with t unassigned the
+    # values cannot be specialized, which census reports like eval-game.
+    census = ("census", ABSDOM, "--from", "u", "--player", "0")
+    code, out, err = run(capsys, *census, "--assign", "s=2", "--into", "natinf")
+    assert (code, out) == (3, "")
+    assert err == "error: token 't' has no assigned value\n"
+    code, out, _ = run(capsys, *census, "--assign", "s=2", "--assign", "t=3",
+                       "--into", "natinf")
+    assert code == 0
+    assert out.splitlines() == [
+        "strategies: 4",
+        "strategy: 4 [dominant]",
+        "strategy: 6 [dominant]",
+        "strategy: 6 [dominant]",
+        "strategy: 9 [dominant]",
+    ]
+
+
 def test_census_truncated(capsys):
     code, out, _ = run(capsys, "census", REACH, "--from", "v", "--player", "0",
                        "--depth", "3", "--semiring", "sorpinf")

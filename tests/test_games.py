@@ -108,6 +108,18 @@ def test_malformed_games_rejected():
         GameGraph({"v": 0, "t": TERMINAL}, [("v", "t"), ("v", "t")])
 
 
+def test_malformed_moves_name_the_first_offender():
+    owners = {"v": 0, "w": 1, "t": TERMINAL}
+    with pytest.raises(MalformedGame, match=r"^parallel move 'v' -> 't'$"):
+        GameGraph(owners, [("v", "w"), ("v", "t"), ("w", "t"), ("v", "t"), ("v", "x")])
+    with pytest.raises(MalformedGame, match=r"^move 'w' -> 'x' uses unknown position$"):
+        GameGraph(owners, [("v", "w"), ("w", "x"), ("v", "w"), ("y", "t")])
+    with pytest.raises(MalformedGame, match=r"^move 'y' -> 't' uses unknown position$"):
+        GameGraph(owners, [("v", "w"), ("y", "t")])
+    game = GameGraph(owners, [["v", "w"], ("w", "t")])
+    assert game.moves == [("v", "w"), ("w", "t")]
+
+
 def test_backward_induction_example():
     g = absdom_game()
     basic = token_valuation(g, NATPOLY)

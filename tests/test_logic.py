@@ -1,5 +1,7 @@
 """Logic: parser, nnf, games, agreement suites, tracking interpretations."""
 
+import time
+
 import pytest
 
 from provgames import logic
@@ -366,6 +368,74 @@ def test_path_counting_diverges_on_cycle():
     assert game_eval(pi, f) is INF
 
 
+def test_direct_mode_ignores_a_diverging_tuple_it_never_reaches():
+    # The cycle c->d->c gives R(c,d) infinitely many derivations, so natpoly
+    # has no value for it; TC(a,b) reaches only the tuples R(z,b).
+    natpoly = get_semiring("natpoly")
+    p, q, r = (natpoly.token(t) for t in "pqr")
+    edges = {("a", "b"): r, ("c", "d"): p, ("d", "c"): q}
+    pi = KInterpretation(natpoly, ("a", "b", "c", "d"), {"E": 2},
+                         {("E", e, True): value for e, value in edges.items()})
+    reached = parse_formula(f"{TC}(a,b)")
+    assert poslfp_eval_direct(pi, reached) == game_eval(pi, reached) == r
+    diverging = parse_formula(f"{TC}(c,d)")
+    for evaluate in (poslfp_eval_direct, game_eval):
+        with pytest.raises(NoConvergence):
+            evaluate(pi, diverging)
+
+
+def test_an_atom_is_unfolded_by_the_fixed_point_around_it():
+    # S(x) in R's body is the interpretation's S, also when the game reaches
+    # R's body by unfolding R(y) inside the inner fixed point that binds S.
+    natinf = get_semiring("natinf")
+    pi = KInterpretation(natinf, ("a", "b"), {"S": 1, "E": 2},
+                         {("S", ("b",), True): 5, ("E", ("a", "b"), True): 1})
+    f = parse_formula("[lfp R(x). S(x) | exists z. (E(x,z) & [lfp S(y). R(y)](z))](a)")
+    assert poslfp_eval_direct(pi, f) == game_eval(pi, f) == 5
+
+
+def test_a_repeated_parameter_binds_its_last_argument_in_both_modes():
+    # [lfp R(x,x). E(x,x)](u,b) reads E(b,b) for every u, as dict(zip(...)).
+    natinf = get_semiring("natinf")
+    pi = KInterpretation(natinf, ("a", "b"), {"E": 2},
+                         {("E", ("a", "a"), True): 3, ("E", ("b", "b"), True): 5})
+    f = parse_formula("exists u. [lfp R(x,x). E(x,x)](u,b)")
+    assert poslfp_eval_direct(pi, f) == game_eval(pi, f) == 10
+
+
+def test_game_raises_when_it_reaches_an_occurrence_outside_the_fragment():
+    pi = KInterpretation(BOOL, ("a", "b"), {"E": 2}, {("E", ("a", "b"), True): 1})
+    with pytest.raises(NotSentence, match="^unbound variable 'u'$"):
+        game_eval(pi, parse_formula("exists u. [lfp R(x). E(u,x) | R(x)](a)"))
+    negative = Fp("lfp", "R", ("x",), Or(Atom("E", ("x", "x")), Atom("R", ("x",), True)), ("a",))
+    with pytest.raises(NotPosLFP, match="^fixed-point relation R occurs negatively$"):
+        build_mc_game(pi.universe, negative)
+    # Over an empty universe the quantifier has no moves, so its body, with
+    # the unbound variable y, is never reached.
+    mc = build_mc_game((), parse_formula("exists x. E(x,y)"))
+    assert mc.game.owners == {0: 0} and mc.game.moves == []
+
+
+def _chain(handle, n):
+    universe = tuple(f"a{i}" for i in range(n))
+    edges = {("E", (universe[i], universe[i + 1]), True): handle.one for i in range(n - 1)}
+    return KInterpretation(handle, universe, {"E": 2}, edges)
+
+
+def test_direct_mode_on_a_long_chain_compiles_only_reached_tuples():
+    pi = _chain(BOOL, 300)
+    start = time.perf_counter()
+    assert poslfp_eval_direct(pi, parse_formula(f"{TC}(a0,a299)")) == 1
+    assert time.perf_counter() - start < 2.0
+
+
+def test_game_mode_on_a_long_chain_builds_without_recursion():
+    # Every tuple R(z,a299) is an unfolding position, 300 deep along the
+    # chain; the game has 181 201 positions.
+    pi = _chain(get_semiring("natinf"), 300)
+    assert game_eval(pi, parse_formula(f"{TC}(a0,a299)")) == 1
+
+
 def test_empty_fixpoint_is_zero():
     pi = KInterpretation(BOOL, ("a",), {"P": 1}, {})
     f = parse_formula("[lfp R(x). R(x) & x != x](a)")
@@ -522,17 +592,18 @@ def test_fixpoint_body_does_not_see_outer_variables():
 
 
 def test_transitive_closure_compiles_to_one_sum_per_tuple():
-    # R(x,y) = E(x,y)*1 + sum over z of E(x,z)*R(z,y), zero terms left out
+    # R(x,y) = E(x,y)*1 + sum over z of E(x,z)*R(z,y), zero terms left out;
+    # only the tuples R(a,b) reaches, R(z,b) for each z, are compiled.
     natinf = get_semiring("natinf")
     pi = KInterpretation(natinf, ("a", "b"), {"E": 2}, {("E", ("a", "b"), True): 2})
     compiler = _Compiler(pi, fixpoints=True)
     root = compiler.compile(to_nnf(parse_formula(f"{TC}(a,b)")), {}, {})
     assert root == ("sum", [(1, "R(a,b)")])
+    assert compiler.equations == {}
+    compiler.drain()
     assert compiler.equations == {
         "1": ("const", 1),
-        "R(a,a)": ("sum", [(2, "R(b,a)")]),
         "R(a,b)": ("sum", [(2, "1"), (2, "R(b,b)")]),
-        "R(b,a)": ("const", 0),
         "R(b,b)": ("const", 0),
     }
     assert poslfp_eval_direct(pi, parse_formula(f"{TC}(a,b)")) == 2

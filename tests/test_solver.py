@@ -450,6 +450,47 @@ def test_incremental_steps_skip_unchanged_equations():
     assert result.values == _reference_solve(system, "mu").values
 
 
+def _evaluate_pool(handle):
+    """Sample values of the semiring; for truncated series also products
+    past the degree bound and values marked truncated."""
+    pool = list(handle.sample_values())
+    if isinstance(handle, PolySemiring) and handle.kind.degree_bound is not None:
+        p = handle.token("p")
+        power = handle.one
+        for _ in range(handle.kind.degree_bound + 1):
+            power = handle.mul(power, p)
+        assert power.truncated
+        pool += [power] + [Polynomial(handle.kind, dict(value.monos), truncated=True)
+                           for value in (handle.zero, handle.one, handle.add(p, handle.one))]
+    return pool
+
+
+@pytest.mark.parametrize("selector", SHIPPED_SELECTORS + ["series:2", "seriesdual:2"])
+def test_evaluate_matches_the_full_fold(selector):
+    # evaluate leaves out the unit steps of zero + c*x + ... and
+    # one * (c*x) * ...; the full fold is _reference_apply.
+    handle = get_semiring(selector)
+    rng = make_rng(salt=41)
+    pool = _evaluate_pool(handle)
+    variables = [f"x{i}" for i in range(8)]
+    for _ in range(40):
+        equations = {}
+        for var in variables:
+            if rng.random() < 0.15:
+                equations[var] = ("const", rng.choice(pool))
+                continue
+            body = [(handle.one if rng.random() < 0.5 else rng.choice(pool), rng.choice(variables))
+                    for _ in range(rng.randrange(4))]
+            equations[var] = (rng.choice(("sum", "prod")), body)
+        system = EquationSystem(handle, equations)
+        assignment = {var: rng.choice(pool) for var in variables}
+        expected = _reference_apply(system, assignment)
+        for var in variables:
+            value = system.evaluate(var, assignment)
+            assert value == expected[var]
+            assert getattr(value, "truncated", None) == getattr(expected[var], "truncated", None)
+
+
 # --- exact fixed points per strongly connected component ------------------
 
 
