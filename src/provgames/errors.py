@@ -34,7 +34,20 @@ class NotFullyOmegaContinuous(ProvError):
 
 
 class NoConvergence(ProvError):
-    """No least fixed point exists: the Kleene iterates grow without bound."""
+    """No least fixed point exists: the Kleene iterates grow without bound.
+
+    A message that names a variable of the equation system comes from a
+    `template` with `{}` in its place; `variable` is that variable, and
+    `naming` gives the same error under another name for it."""
+
+    def __init__(self, template, variable=None):
+        super().__init__(template if variable is None else template.format(repr(variable)))
+        self.template = template
+        self.variable = variable
+
+    def naming(self, name):
+        """The error with `name` in the variable's place in the message."""
+        return NoConvergence(self.template.format(name))
 
 
 class MalformedGame(ProvError):

@@ -18,6 +18,7 @@ from functools import cached_property
 from .errors import (
     ArityError,
     FormulaSyntaxError,
+    NoConvergence,
     NotModelDefining,
     NotNNF,
     NotPosLFP,
@@ -677,6 +678,13 @@ class MCGame:
         return [(occurrences[i].path, frozenset(zip(occurrences[i].variables, values)))
                 for i, values in self._keys]
 
+    def describe(self, pos):
+        """Position pos for a message: its occurrence path (child indices
+        from the sentence down) and its binding, sorted by variable."""
+        path, env = self.labels[pos]
+        binding = ", ".join(f"{var}={value}" for var, value in sorted(env))
+        return f"position {path}" + (f" with {binding}" if binding else "")
+
     def basic_valuation(self, pi, player):
         handle = pi.handle
         f = {}
@@ -884,7 +892,12 @@ def game_eval(pi, sentence, player=0):
         )
     check_poslfp(nnf)
     system = build_system(mc.game, basic)
-    return kleene_lfp(system)[mc.root]
+    try:
+        return kleene_lfp(system)[mc.root]
+    except NoConvergence as exc:
+        if exc.variable is None:
+            raise
+        raise exc.naming(mc.describe(exc.variable)) from None
 
 
 # --- direct posLFP semantics --------------------------------------------------

@@ -8,11 +8,12 @@ A component without a cycle needs one evaluation.  A cyclic component of
 n variables is solved by a method with an argument; a semiring that has
 none raises `ProvError`.
 
-* Absorptive semirings, lfp: Kleene iteration from 0.  The k-th iterate at
-  x sums the values of x's derivation trees of height at most k.  A tree
-  with a variable repeated on a path is absorbed by the tree that cuts out
-  the part between the repetitions (a + a*b = a), so the n-th iterate is the
-  lfp and step n+1 repeats it; otherwise the solver raises `ProvError`.
+* Absorptive semirings, lfp: sweeps from 0 (see below).  The k-th Kleene
+  iterate at x sums the values of x's derivation trees of height at most k.
+  A tree with a variable repeated on a path is absorbed by the tree that
+  cuts out the part between the repetitions (a + a*b = a), so the n-th
+  iterate is the lfp and sweep n+1 changes nothing; otherwise the solver
+  raises `ProvError`.
 * Absorptive, fully omega-continuous semirings, gfp: the closed form
   x = f^n((f^n(T))^inf), T the top element, the infinitary power taken per
   variable (Naaf, "Computing least and greatest fixed points in absorptive
@@ -52,14 +53,15 @@ none raises `ProvError`.
   have unbounded degree.  So the iterates are unbounded, and every fixed
   point lies above them.  See Khamis, Ngo, Pichler, Suciu and Wang,
   "Convergence of Datalog over (pre-)semirings" (PODS 2022).
-* whypoly, lfp: Kleene iteration until an iterate repeats, which happens
-  within n*(|T|+1)+1 steps, T the system's tokens.  A tree contributes the
-  union of the token sets it picks.  Take a tree with the fewest nodes for a
-  set S.  Along a path the sets of the subtrees shrink, so they take at most
-  |S|+1 values, and no two nodes have the same variable and the same set
-  (putting the lower subtree in place of the upper keeps S).  The values
-  over T form a finite lattice, so the lfp is the union of all trees' sets,
-  and each of them comes from a tree of height at most n*(|T|+1).
+* whypoly, lfp: sweeps until one changes nothing, which happens within
+  n*(|T|+1)+1 sweeps, since the iterates repeat within as many steps, T the
+  system's tokens.  A tree contributes the union of the token sets it
+  picks.  Take a tree with the fewest nodes for a set S.  Along a path the
+  sets of the subtrees shrink, so they take at most |S|+1 values, and no
+  two nodes have the same variable and the same set (putting the lower
+  subtree in place of the upper keeps S).  The values over T form a finite
+  lattice, so the lfp is the union of all trees' sets, and each of them
+  comes from a tree of height at most n*(|T|+1).
 * series:D and seriesdual:D, lfp and gfp: degree levels, Newton's method on
   a graded semiring (Esparza, Kiefer and Luttenberger, "Newtonian program
   analysis", JACM 2010).  With x^(k) the part of x of degree k, the degree-k
@@ -78,12 +80,37 @@ none raises `ProvError`.
   lies below W; L's level 0 solves level 0, so it equals W's, then L's
   level 1 solves W's level-1 system, and so on: L = W.  The gfp likewise.
 
+The least fixed points of the absorptive semirings and of whypoly take
+Gauss-Seidel sweeps over a cyclic component, chaotic iteration in the sense
+of Cousot and Cousot ("Automatic synthesis of optimal invariant
+assertions", 1977).  A sweep visits the members in the reverse of the order
+the search reached them, dependencies first, writes each new value at once,
+and evaluates a member only when a dependency in the component changed
+since its own last evaluation, since otherwise its value is its right-hand
+side already.  The loop ends with a sweep that changes nothing.  Start from
+x = 0, which lies below f(0) and below every fixed point y.  A write x_v :=
+f_v(x) keeps x <= y, as f_v(x) <= f_v(y) = y_v, and keeps x <= f(x): it
+does not lower x_v, which lay below f_v(x), and raising x raises f(x).  So
+x only climbs.  When a sweep visits a member, its value is f_v of the
+current x, which lies above the x the sweep before ended with; so by
+induction x lies above the k-th Kleene iterate f^k(0) after sweep k.  A
+sweep that changes nothing ends at a fixed point below every fixed point,
+the lfp.  If the iterates repeat by step m, f^(m-1)(0) is the lfp, x equals
+it after sweep m-1, and sweep m changes nothing, so the bounds above hold
+for sweeps.  They would also make a sweep n+1 that still changes a value a
+proof that no fixed point exists.  But the n+1 rule mostly ends that way,
+and there one sweep can carry a value round a whole cycle, so sweep k
+reaches derivation trees about k times as high as the cycle is long, and
+the values grow that much faster than the Kleene iterates; so the n+1 rule
+takes Jacobi steps.
+
 Every method ends with one full application of the system, which must
-reproduce the result (`verified`).  `iterations` counts the Kleene steps
-inside cyclic components, summed over components.  `saturated` says that
-an infinite limit was used: the infinitary power changed an iterate, or a
-least fixed point set a cyclic component to inf (a support cycle, or a
-cycle of J fed a monomial); inf taken from the top element is not one.
+reproduce the result (`verified`).  `iterations` counts the sweeps and the
+Jacobi steps inside cyclic components, summed over components.  `saturated`
+says that an infinite limit was used: the infinitary power changed an
+iterate, or a least fixed point set a cyclic component to inf (a support
+cycle, or a cycle of J fed a monomial); inf taken from the top element is
+not one.
 
 A truncated series is marked `truncated` when it lost monomials above the
 degree bound.  Sums and products mark their result when an operand is
@@ -93,10 +120,12 @@ equation whose evaluation at the solution drops a monomial or reads a
 marked constant or coefficient.  The degree levels find those equations in
 one evaluation at the unmarked solution and spread the marks backwards.
 
-Each Kleene step is a Jacobi step on the component.  A right-hand side whose
-dependencies all kept their value and marker since the step before reuses
-that step's output, so every iterate, marker included, is the one full
-evaluation gives.  The first step on each component evaluates it all.
+The closed form for the gfp needs the iterates f^k themselves, so its two
+phases, like the n+1 rule, take Jacobi steps on the component.  A
+right-hand side whose dependencies all kept their value and marker since
+the step before reuses that step's output, so every iterate, marker
+included, is the one full evaluation gives.  The first step on each
+component evaluates it all.
 """
 
 from collections import Counter
@@ -248,8 +277,8 @@ def _components(successors):
     (every successor is itself a key), by Tarjan's algorithm with an
     explicit stack, and the first variable the search found on a cycle (the
     target of its first edge back into the current search path; None when
-    the graph has no cycle).  Each component is a list that starts with the
-    variable the search reached first, and comes after every component it
+    the graph has no cycle).  Each component is a list of its members in the
+    order the search reached them, and comes after every component it
     reaches, so solving them in this order sees every dependency solved."""
     index = {}
     low = {}
@@ -317,6 +346,36 @@ def _kleene_steps(system, values, component, limit):
     return limit, False
 
 
+def _kleene_sweeps(system, values, component, limit):
+    """Up to `limit` Gauss-Seidel sweeps on the component's equations, in
+    place in `values`, stopping after a sweep that changes nothing.  A sweep
+    takes the members in the reverse of the order the search reached them,
+    dependencies first, and evaluates one only when a dependency in the
+    component changed since its own last evaluation.  Returns the number of
+    sweeps and whether the last one changed nothing."""
+    equations = system.equations
+    users = {var: [] for var in component}
+    for var in component:
+        for _, dep in equations[var][1]:
+            if dep in users:
+                users[dep].append(var)
+    order = component[::-1]
+    pending = set(component)
+    for sweep in range(1, limit + 1):
+        quiet = True
+        for var in order:
+            if var in pending:
+                pending.discard(var)
+                value = system.evaluate(var, values)
+                if not _unchanged(value, values[var]):
+                    values[var] = value
+                    pending.update(users[var])
+                    quiet = False
+        if quiet:
+            return sweep, True
+    return limit, False
+
+
 def _support(system, greatest=False):
     """The lfp support of a system over a positive semiring (no zero sums,
     no zero divisors): the least set of variables where a constant is
@@ -376,8 +435,8 @@ def _support_fixpoint(system, greatest):
     components, on_cycle = _components(successors)
     if on_cycle is not None and not handle.flags.omega_continuous:
         raise NoConvergence(
-            f"no least fixed point: {on_cycle!r} is nonzero and lies on a cycle of "
-            f"nonzero variables, so its value grows without bound in {handle.name}"
+            "no least fixed point: {} is nonzero and lies on a cycle of "
+            f"nonzero variables, so its value grows without bound in {handle.name}", on_cycle
         )
     values = dict.fromkeys(system.equations, zero)
     for component in components:
@@ -389,11 +448,14 @@ def _support_fixpoint(system, greatest):
     return values, 0, on_cycle is not None and not greatest
 
 
-def _kleene_components(system, start, factor, error, descending=False):
+def _kleene_components(system, start, factor, descending=False, may_diverge=False):
     """Kleene iteration from `start` on each cyclic component, in component
-    order, within n*factor + 1 steps on a component of n variables, or
-    `error` is raised.  With `descending`, Naaf's closed form of the module
-    docstring: n steps from the top, then the infinitary power.  Returns
+    order, within n*factor + 1 sweeps on a component of n variables.  With
+    `descending`, Naaf's closed form of the module docstring in Jacobi
+    steps: n steps from the top, the infinitary power, then at most
+    n*factor + 1 steps.  With `may_diverge` (the n+1 rule), Jacobi steps,
+    and a component that still changes has no fixed point: `NoConvergence`.
+    Elsewhere the method's argument rules that out (`ProvError`).  Returns
     (values, iterations, saturated)."""
     handle = system.handle
     successors = {var: [dep for _, dep in rhs[1]] if rhs[0] != "const" else ()
@@ -408,6 +470,7 @@ def _kleene_components(system, start, factor, error, descending=False):
             continue
         n = len(component)
         values.update(dict.fromkeys(component, start))
+        limit = n * factor + 1
         if descending:
             steps, repeated = _kleene_steps(system, values, component, n)
             iterations += steps
@@ -417,11 +480,17 @@ def _kleene_components(system, start, factor, error, descending=False):
                 value = values[var]
                 values[var] = handle.pow_inf(value)
                 saturated = saturated or not _unchanged(values[var], value)
-        steps, repeated = _kleene_steps(system, values, component, n * factor + 1)
+            steps, repeated = _kleene_steps(system, values, component, limit)
+        else:
+            ascend = _kleene_steps if may_diverge else _kleene_sweeps
+            steps, repeated = ascend(system, values, component, limit)
         iterations += steps
         if not repeated:
-            raise error(f"no fixed point: the component of {n} variables containing "
-                        f"{component[0]!r} still changes after {steps} steps in {handle.name}")
+            template = (f"no fixed point: the component of {n} variables containing {{}} "
+                        f"still changes after {steps} steps in {handle.name}")
+            if may_diverge:
+                raise NoConvergence(template, component[0])
+            raise ProvError(template.format(repr(component[0])))
     return values, iterations, saturated
 
 
@@ -535,14 +604,13 @@ def _method(handle, descending):
     if start is None:
         return None
     if flags.absorptive:
-        return lambda system: _kleene_components(system, start, 1, ProvError, descending)
+        return lambda system: _kleene_components(system, start, 1, descending)
     if flags.positive and not flags.idempotent_add:  # nat, natpoly, natinf
         return lambda system: _support_fixpoint(system, descending)
     if kind in (DUALNAT, BOOLPOLY):  # the n+1 rule
-        return lambda system: _kleene_components(system, start, 1, NoConvergence)
+        return lambda system: _kleene_components(system, start, 1, may_diverge=True)
     if kind == WHYPOLY:
-        return lambda system: _kleene_components(
-            system, start, len(system.tokens()) + 1, ProvError)
+        return lambda system: _kleene_components(system, start, len(system.tokens()) + 1)
     return None
 
 

@@ -361,6 +361,24 @@ def test_direct_mode_fails_fast_without_least_fixed_point(capsys, tmp_path):
     assert re.match(r"error: no least fixed point: 'R\([a-d],[a-d]\)' ", err)
 
 
+@pytest.mark.parametrize("selector, message", [
+    ("dualnat", "no fixed point: the component of 28 variables containing position (0,) "
+                "with x=a, y=d still changes after 29 steps in dualnat"),
+    ("natpoly", "no least fixed point: position (0, 1, 0, 1) with y=d, z=b is nonzero and "
+                "lies on a cycle of nonzero variables, so its value grows without bound in "
+                "natpoly"),
+])
+def test_game_mode_names_a_position_by_its_subformula_and_binding(capsys, selector, message):
+    # The game's positions are numbered internally; the message spells one
+    # out as its occurrence path in the sentence and its variable binding.
+    code, out, err = run(capsys, "eval-formula", f"{FIXTURES}/tc.formula",
+                         f"{FIXTURES}/graph-tokens.interp", "--model-default",
+                         "--semiring", selector, "--mode", "game")
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def _layered_game(rng, layers, width, products):
     """Game file text of an acyclic layered game: every position of a
     product layer (and some others) belongs to player 1 and has two moves,

@@ -9,9 +9,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from provgames import solver
 from provgames.errors import NoConvergence, NotFullyOmegaContinuous, ProvError
 from provgames.games import TERMINAL, BasicValuation, GameGraph, acyclic_valuation, truncate
 from provgames.infinity import INF
+from provgames.logic import KInterpretation, build_mc_game, parse_formula
 from provgames.monomials import Monomial
 from provgames.poly import Polynomial, series_geom
 from provgames.semirings import (
@@ -410,15 +412,30 @@ def _solver_valuation(rng, game, handle, selector, fixpoint, player):
     return random_basic_valuation(rng, game, handle, player)
 
 
-def test_incremental_steps_skip_unchanged_equations():
-    # dualnat mu takes Kleene steps on the cycle (the n+1 rule).  The
-    # terminals t1 and t7 carry p and ~p, so going round the cycle
-    # multiplies by p*~p = 0 and the lfp exists.
+def _dualnat_cancelling_cycle():
+    """dualnat mu takes Jacobi steps on the cycle (the n+1 rule).  The
+    terminals t1 and t7 carry p and ~p, so going round the cycle multiplies
+    by p*~p = 0 and the lfp exists."""
     dualnat = get_semiring("dualnat")
     game = alternating_cycle_game(8)
     f = {f"t{i}": dualnat.token(f"t{i}") for i in range(8)}
     f.update(t1=dualnat.token("p"), t7=dualnat.token("~p"))
-    system = build_system(game, BasicValuation(dualnat, 0, f))
+    return build_system(game, BasicValuation(dualnat, 0, f))
+
+
+def _sorpinf_cycle():
+    """Naaf's closed form for sorpinf nu takes Jacobi steps on the cycle: n
+    from the top, then n+1 after the infinitary power."""
+    game = alternating_cycle_game(8)
+    return build_system(game, token_valuation(game, SORPINF))
+
+
+@pytest.mark.parametrize("make_system, fixpoint, steps, share", [
+    (_dualnat_cancelling_cycle, "mu", 8, 0.6),
+    (_sorpinf_cycle, "nu", 17, 0.8),
+])
+def test_incremental_steps_skip_unchanged_equations(make_system, fixpoint, steps, share):
+    system = make_system()
     calls = []
     full_apply = system.apply
 
@@ -428,12 +445,12 @@ def test_incremental_steps_skip_unchanged_equations():
         return full_apply(assignment, *args)
 
     system.apply = counting_apply
-    result = kleene_lfp(system)
+    result = (kleene_lfp if fixpoint == "mu" else kleene_gfp)(system)
     non_constant = {var: {dep for _, dep in rhs[1]}
                     for var, rhs in system.equations.items() if rhs[0] != "const"}
-    assert not result.saturated and result.iterations == 8
+    assert result.saturated == (fixpoint == "nu") and result.iterations == steps
     assert len(calls) == result.iterations + 1
-    assert result.evaluations < 0.6 * len(calls) * len(non_constant)
+    assert result.evaluations < share * len(calls) * len(non_constant)
     # Replay: a step with a previous one evaluates exactly the equations
     # with a dependency that changed value or marker; any other step, all.
     expected = 0
@@ -447,7 +464,7 @@ def test_incremental_steps_skip_unchanged_equations():
         changed = {var for var, mark in before.items() if after[var] != mark}
         expected += sum(bool(non_constant[var] & changed) for var in evaluated)
     assert result.evaluations == expected
-    assert result.values == _reference_solve(system, "mu").values
+    assert result.values == _reference_solve(system, fixpoint).values
 
 
 def _evaluate_pool(handle):
@@ -610,10 +627,29 @@ def test_series_gfp_marks_exactly_what_depends_on_a_dropped_monomial():
     assert _marked(_reference_solve(system, "nu").values) == {"x", "y", "z"}
 
 
-def test_whypoly_components_repeat_within_the_bound():
-    """Every cyclic component of the seeded corpus repeats within
-    n*(|T|+1)+1 steps, the bound of the module docstring, and some need more
-    than the n+1 steps of the rule for dualnat and boolpoly."""
+def _jacobi_steps(monkeypatch):
+    """Make ascending components take the incremental Jacobi steps of the
+    descending phases in place of sweeps: the loop the sweeps replaced."""
+    monkeypatch.setattr(solver, "_kleene_sweeps", solver._kleene_steps)
+
+
+def _counting_sweeps(monkeypatch, counts):
+    """Record the sweeps of each ascending component in counts."""
+    sweeps = solver._kleene_sweeps
+
+    def counting(system, values, component, limit):
+        out = sweeps(system, values, component, limit)
+        counts[tuple(component)] = out[0]
+        return out
+
+    monkeypatch.setattr(solver, "_kleene_sweeps", counting)
+
+
+def test_whypoly_components_repeat_within_the_bound(monkeypatch):
+    """Every cyclic component of the seeded corpus is quiet within
+    n*(|T|+1)+1 sweeps, the bound of the module docstring, and within the
+    Jacobi steps it would take; some need more than the n+1 Jacobi steps of
+    the rule for dualnat and boolpoly."""
     whypoly = get_semiring("whypoly")
     rng = make_rng(salt=47)
     components = beyond_n_plus_1 = 0
@@ -621,24 +657,98 @@ def test_whypoly_components_repeat_within_the_bound():
         game = random_cyclic_game(rng, max_positions=10, max_out=3)
         basic = token_valuation(game, whypoly, rng.randint(0, 1))
         system = build_system(game, basic)
-        steps = Counter()
-        full_apply = system.apply
-
-        def counting_apply(assignment, previous=None, variables=None):
-            if variables is not None:
-                steps[tuple(variables)] += 1
-            return full_apply(assignment, previous, variables)
-
-        system.apply = counting_apply
-        result = kleene_lfp(system)
-        assert result.iterations == sum(steps.values())
+        sweeps, steps = {}, {}
+        with monkeypatch.context() as patch:
+            _counting_sweeps(patch, sweeps)
+            result = kleene_lfp(system)
+        with monkeypatch.context() as patch:
+            _jacobi_steps(patch)
+            _counting_sweeps(patch, steps)
+            jacobi = kleene_lfp(system)
+        assert result.iterations == sum(sweeps.values())
+        assert sweeps.keys() == steps.keys()
         bound = len(system.tokens()) + 1
-        for component, count in steps.items():
-            assert count <= len(component) * bound + 1, (game.owners, game.moves)
-            beyond_n_plus_1 += count > len(component) + 1
-        components += len(steps)
+        for component, count in sweeps.items():
+            assert count <= steps[component] <= len(component) * bound + 1, (game.owners,
+                                                                             game.moves)
+            beyond_n_plus_1 += steps[component] > len(component) + 1
+        components += len(sweeps)
+        assert result.values == jacobi.values
         assert result.values == _reference_solve(system, "mu").values
     assert components > 200 and beyond_n_plus_1 > 10
+
+
+# --- Gauss-Seidel sweeps for ascending components ---------------------------
+
+# The selectors whose least fixed points come from sweeps.
+SWEPT = ("bool", "tropical", "viterbi", "minmax:lo<mid<hi", "access", "posbool", "sorp",
+         "sorpinf", "sorpinfdual", "whypoly")
+
+
+@pytest.mark.parametrize("selector", SWEPT)
+def test_sweeps_match_jacobi_steps_and_the_reference(selector, monkeypatch):
+    """On seeded cyclic games the sweeps give the values of the Jacobi steps
+    they replaced and of the numeric reference, in no more iterations."""
+    handle = get_semiring(selector)
+    rng = make_rng(salt=53)
+    corpus = [random_cyclic_game(rng, max_positions=8, max_out=3) for _ in range(30)]
+    corpus += [alternating_cycle_game(n) for n in (2, 5, 8)]
+    compared = 0
+    for game in corpus:
+        basic = _solver_valuation(rng, game, handle, selector, "mu", rng.randint(0, 1))
+        system = build_system(game, basic)
+        got = kleene_lfp(system)
+        with monkeypatch.context() as patch:
+            _jacobi_steps(patch)
+            steps = kleene_lfp(system)
+        case = (game.owners, game.moves)
+        assert got.values == steps.values and got.verified, case
+        assert got.iterations <= steps.iterations and not got.saturated, case
+        try:
+            expected = _reference_solve(system, "mu", time.perf_counter() + 0.5)
+        except (_OutOfTime, NoConvergence):
+            continue
+        assert got.values == expected.values, case
+        compared += 1
+    assert compared > 20
+
+
+@pytest.mark.parametrize("selector", NO_LFP)
+def test_n_plus_1_rule_without_fixed_point_ends_fast_on_a_long_cycle(selector):
+    # The rule takes Jacobi steps: sweeps would carry each value round the
+    # cycle once per sweep, and take about a minute here.
+    handle = get_semiring(selector)
+    game = alternating_cycle_game(64)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="still changes after 65 steps"):
+        solve_game(game, token_valuation(game, handle), "mu")
+    assert time.perf_counter() - start < 5.0
+
+
+def test_sorpinf_lfp_of_a_cycle_game_takes_three_sweeps():
+    # Jacobi steps carry a value one move per step, 65 steps on this cycle.
+    game = alternating_cycle_game(64)
+    result = solve_game(game, token_valuation(game, SORPINF), "mu")
+    assert result.iterations <= 3 and result.evaluations <= 4 * 64
+    assert result.verified and not result.saturated
+    assert result["v0"] == _cycle_at_v0(SORPINF, 64)[0]
+
+
+@pytest.mark.parametrize("n", (20, 40))
+def test_transitive_closure_game_takes_linearly_many_evaluations(n):
+    # One cyclic component of about 2n^2 positions, on which Jacobi steps
+    # took about 4n steps.
+    bool_ = get_semiring("bool")
+    universe = tuple(f"a{i}" for i in range(n))
+    pi = KInterpretation(bool_, universe, {"E": 2},
+                         {("E", (a, b), True): 1 for a, b in zip(universe, universe[1:])})
+    sentence = parse_formula(f"[lfp R(x,y). E(x,y) | exists z.(E(x,z) & R(z,y))](a0,a{n - 1})")
+    mc = build_mc_game(universe, sentence)
+    system = build_system(mc.game, mc.basic_valuation(pi, 0))
+    result = kleene_lfp(system)
+    assert result[mc.root] == 1
+    assert result.iterations <= 3
+    assert result.evaluations <= 2 * len(system.equations)
 
 
 def test_natinf_lfp_of_a_large_constant_is_exact():
@@ -685,16 +795,17 @@ def test_viterbi_gfp_with_fractions_on_a_cycle_ends():
     assert result.values == {"n0": 0, "n1": 0, "n2": 0, "n3": 0, "n4": 1}
 
 
-def _cycle_gfp_at_v0(handle, n):
-    """ROADMAP F1's closed form: t0 + t1*t2 + t1*t3*t4 + ... plus the
-    infinite play t1^inf * t3^inf * ... * t(n-1)^inf."""
+def _cycle_at_v0(handle, n):
+    """ROADMAP F1's closed forms, (lfp, gfp): the lfp is t0 + t1*t2 +
+    t1*t3*t4 + ..., and the gfp adds the infinite play t1^inf * t3^inf *
+    ... * t(n-1)^inf."""
     value = handle.token("t0")
     odd = handle.one
     for k in range(1, n - 1, 2):
         odd = odd * handle.token(f"t{k}")
         value = value + odd * handle.token(f"t{k + 1}")
     odd = odd * handle.token(f"t{n - 1}")
-    return value + handle.pow_inf(odd)
+    return value, value + handle.pow_inf(odd)
 
 
 @pytest.mark.parametrize("positions", (32, 64, 128))
@@ -716,7 +827,7 @@ def test_sorpinf_gfp_of_cycle_games_takes_linearly_many_steps(positions):
     assert set(component_steps) == {n}
     assert len(component_steps) == result.iterations <= 2 * (n + 1)
     assert result.verified and result.saturated
-    assert result["v0"] == _cycle_gfp_at_v0(SORPINF, n)
+    assert result["v0"] == _cycle_at_v0(SORPINF, n)[1]
 
 
 def test_a_self_loop_is_a_cycle():
