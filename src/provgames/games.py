@@ -199,9 +199,6 @@ class Strategy:
     def count(self, v):
         return self.position_counts.get(v, 0)
 
-    def move_count(self, e):
-        return self.move_counts.get(e, 0)
-
     def outcome_counts(self, game):
         return {t: c for t, c in self.position_counts.items() if game.is_terminal(t)}
 

@@ -300,33 +300,17 @@ def check_arities(formula, arities=None):
 # --- negation normal form ---------------------------------------------------
 
 
-def _negate_rel_atoms(formula, rel):
-    """Substitute R / !R for the given fixed-point relation symbol."""
-    if isinstance(formula, Atom):
-        if formula.rel == rel:
-            return Atom(formula.rel, formula.args, not formula.negated)
-        return formula
-    if isinstance(formula, Eq):
-        return formula
-    if isinstance(formula, Not):
-        return Not(_negate_rel_atoms(formula.sub, rel))
-    if isinstance(formula, And):
-        return And(_negate_rel_atoms(formula.left, rel), _negate_rel_atoms(formula.right, rel))
-    if isinstance(formula, Or):
-        return Or(_negate_rel_atoms(formula.left, rel), _negate_rel_atoms(formula.right, rel))
-    if isinstance(formula, Quant):
-        return Quant(formula.kind, formula.var, _negate_rel_atoms(formula.sub, rel))
-    if formula.rel == rel:
-        # The inner binder shadows the outer relation symbol.
-        return formula
-    return Fp(formula.kind, formula.rel, formula.params,
-              _negate_rel_atoms(formula.body, rel), formula.args)
-
-
 def to_nnf(formula, negate=False):
     """Push negation down to atoms; fixed points flip via lfp/gfp duality."""
+    return _nnf(formula, negate, frozenset())
+
+
+def _nnf(formula, negate, flipped):
+    """`to_nnf` with the atoms of the relation symbols in `flipped` negated
+    as well: the symbols of the fixed points above that were negated and not
+    shadowed since, as not [lfp R. phi] = [gfp R. not phi[R := not R]]."""
     if isinstance(formula, Atom):
-        if negate:
+        if negate != (formula.rel in flipped):
             return Atom(formula.rel, formula.args, not formula.negated)
         return formula
     if isinstance(formula, Eq):
@@ -334,28 +318,29 @@ def to_nnf(formula, negate=False):
             return Eq(formula.left, formula.right, not formula.negated)
         return formula
     if isinstance(formula, Not):
-        return to_nnf(formula.sub, not negate)
+        return _nnf(formula.sub, not negate, flipped)
     if isinstance(formula, And):
-        left = to_nnf(formula.left, negate)
-        right = to_nnf(formula.right, negate)
+        left = _nnf(formula.left, negate, flipped)
+        right = _nnf(formula.right, negate, flipped)
         return Or(left, right) if negate else And(left, right)
     if isinstance(formula, Or):
-        left = to_nnf(formula.left, negate)
-        right = to_nnf(formula.right, negate)
+        left = _nnf(formula.left, negate, flipped)
+        right = _nnf(formula.right, negate, flipped)
         return And(left, right) if negate else Or(left, right)
     if isinstance(formula, Quant):
-        sub = to_nnf(formula.sub, negate)
+        sub = _nnf(formula.sub, negate, flipped)
         if negate:
-            flipped = "forall" if formula.kind == "exists" else "exists"
-            return Quant(flipped, formula.var, sub)
+            kind = "forall" if formula.kind == "exists" else "exists"
+            return Quant(kind, formula.var, sub)
         return Quant(formula.kind, formula.var, sub)
     if isinstance(formula, Fp):
-        if not negate:
-            return Fp(formula.kind, formula.rel, formula.params,
-                      to_nnf(formula.body), formula.args)
-        flipped = "gfp" if formula.kind == "lfp" else "lfp"
-        body = to_nnf(Not(_negate_rel_atoms(formula.body, formula.rel)))
-        return Fp(flipped, formula.rel, formula.params, body, formula.args)
+        # The binder shadows an outer one of the same symbol: its atoms flip
+        # in the body exactly when this fixed point is negated.
+        kind, rel = formula.kind, formula.rel
+        if negate:
+            kind = "gfp" if kind == "lfp" else "lfp"
+        flipped = flipped | {rel} if negate else flipped - {rel}
+        return Fp(kind, rel, formula.params, _nnf(formula.body, negate, flipped), formula.args)
     raise ProvError(f"unknown formula node {formula!r}")
 
 

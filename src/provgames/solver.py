@@ -80,29 +80,34 @@ none raises `ProvError`.
   lies below W; L's level 0 solves level 0, so it equals W's, then L's
   level 1 solves W's level-1 system, and so on: L = W.  The gfp likewise.
 
-The least fixed points of the absorptive semirings and of whypoly take
-Gauss-Seidel sweeps over a cyclic component, chaotic iteration in the sense
-of Cousot and Cousot ("Automatic synthesis of optimal invariant
-assertions", 1977).  A sweep visits the members in the reverse of the order
-the search reached them, dependencies first, writes each new value at once,
-and evaluates a member only when a dependency in the component changed
-since its own last evaluation, since otherwise its value is its right-hand
-side already.  The loop ends with a sweep that changes nothing.  Start from
-x = 0, which lies below f(0) and below every fixed point y.  A write x_v :=
-f_v(x) keeps x <= y, as f_v(x) <= f_v(y) = y_v, and keeps x <= f(x): it
-does not lower x_v, which lay below f_v(x), and raising x raises f(x).  So
-x only climbs.  When a sweep visits a member, its value is f_v of the
-current x, which lies above the x the sweep before ended with; so by
-induction x lies above the k-th Kleene iterate f^k(0) after sweep k.  A
-sweep that changes nothing ends at a fixed point below every fixed point,
-the lfp.  If the iterates repeat by step m, f^(m-1)(0) is the lfp, x equals
-it after sweep m-1, and sweep m changes nothing, so the bounds above hold
-for sweeps.  They would also make a sweep n+1 that still changes a value a
-proof that no fixed point exists.  But the n+1 rule mostly ends that way,
-and there one sweep can carry a value round a whole cycle, so sweep k
-reaches derivation trees about k times as high as the cycle is long, and
-the values grow that much faster than the Kleene iterates; so the n+1 rule
-takes Jacobi steps.
+Kleene iteration on a cyclic component is chaotic iteration in the sense of
+Cousot and Cousot ("Automatic synthesis of optimal invariant assertions",
+1977): one worklist loop with two schedules.  A round visits the members in
+the reverse of the order the search reached them, dependencies first, and
+evaluates a member only when a dependency in the component changed since
+its own last evaluation, since otherwise its value is its right-hand side
+already.  The loop ends with a round that changes nothing.  The least fixed
+points of the absorptive semirings and of whypoly take Gauss-Seidel sweeps,
+which write each new value at once.  Start from x = 0, which lies below
+f(0) and below every fixed point y.  A write x_v := f_v(x) keeps x <= y, as
+f_v(x) <= f_v(y) = y_v, and keeps x <= f(x): it does not lower x_v, which
+lay below f_v(x), and raising x raises f(x).  So x only climbs.  When a
+sweep visits a member, its value is f_v of the current x, which lies above
+the x the sweep before ended with; so by induction x lies above the k-th
+Kleene iterate f^k(0) after sweep k.  A sweep that changes nothing ends at
+a fixed point below every fixed point, the lfp.  If the iterates repeat by
+step m, f^(m-1)(0) is the lfp, x equals it after sweep m-1, and sweep m
+changes nothing, so the bounds above hold for sweeps.  They would also make
+a sweep n+1 that still changes a value a proof that no fixed point exists.
+But the n+1 rule mostly ends that way, and there one sweep can carry a
+value round a whole cycle, so sweep k reaches derivation trees about k
+times as high as the cycle is long, and the values grow that much faster
+than the Kleene iterates; so the n+1 rule takes Jacobi steps, and so do the
+two phases of the closed form for the gfp, which needs the iterates f^k
+themselves.  A Jacobi step writes the changed values after the round, and
+the next round evaluates their users; every other member would reproduce
+its value, so every iterate, marker included, is the one full evaluation
+gives.
 
 Every method ends with one full application of the system, which must
 reproduce the result (`verified`).  `iterations` counts the sweeps and the
@@ -119,18 +124,11 @@ marked exactly when it depends, through a chain of equations, on an
 equation whose evaluation at the solution drops a monomial or reads a
 marked constant or coefficient.  The degree levels find those equations in
 one evaluation at the unmarked solution and spread the marks backwards.
-
-The closed form for the gfp needs the iterates f^k themselves, so its two
-phases, like the n+1 rule, take Jacobi steps on the component.  A
-right-hand side whose dependencies all kept their value and marker since
-the step before reuses that step's output, so every iterate, marker
-included, is the one full evaluation gives.  The first step on each
-component evaluates it all.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from .errors import NoConvergence, NotFullyOmegaContinuous, ProvError
@@ -174,38 +172,10 @@ class EquationSystem:
                 if dep not in self.equations:
                     raise ProvError(f"equation for {var!r} uses unknown variable {dep!r}")
 
-    @cached_property
-    def _deps(self):
-        """The dependencies of each non-constant equation, built on the
-        first incremental step (one pass of `evaluate` needs none)."""
-        return {var: frozenset(dep for _, dep in rhs[1])
-                for var, rhs in self.equations.items() if rhs[0] != "const"}
-
-    def apply(self, assignment, previous=None, variables=None):
-        """One Jacobi step on `variables` (default: all of them), whose
-        equations may read any variable of the assignment; the others must
-        not change between steps.  `previous` is the step before, as the
-        pair (assignment it was applied to, output it produced); an equation
-        whose dependencies are all unchanged since then reuses that output."""
-        equations = self.equations
-        if variables is None:
-            variables = equations
-        changed = None
-        if previous is not None:
-            before, reused = previous
-            changed = {var for var in variables
-                       if not _unchanged(assignment[var], before[var])}
-        out = {}
-        for var in variables:
-            rhs = equations[var]
-            if rhs[0] == "const":
-                out[var] = rhs[1]
-                continue
-            if changed is not None and changed.isdisjoint(self._deps[var]):
-                out[var] = reused[var]
-                continue
-            out[var] = self.evaluate(var, assignment)
-        return out
+    def apply(self, assignment):
+        """One full application of the system: every right-hand side
+        evaluated under the assignment."""
+        return {var: self.evaluate(var, assignment) for var in self.equations}
 
     def evaluate(self, var, assignment):
         """The value of var's right-hand side under the assignment, which
@@ -331,48 +301,50 @@ def _is_cyclic(component, successors):
     return len(component) > 1 or component[0] in successors[component[0]]
 
 
-def _kleene_steps(system, values, component, limit):
-    """Up to `limit` incremental Jacobi steps on the component's equations,
-    written into `values`, stopping when an iterate repeats.  Returns the
-    number of steps and whether the last one repeated its input."""
-    previous = None
-    for step in range(1, limit + 1):
-        current = {var: values[var] for var in component}
-        out = system.apply(values, previous, component)
-        if all(_unchanged(out[var], current[var]) for var in component):
-            return step, True
-        values.update(out)
-        previous = (current, out)
-    return limit, False
+def _users(equations, variables):
+    """For each of the variables, the ones among them whose right-hand side
+    reads it."""
+    users = {var: [] for var in variables}
+    for var in variables:
+        tag, body = equations[var]
+        if tag != "const":
+            for _, dep in body:
+                if dep in users:
+                    users[dep].append(var)
+    return users
 
 
-def _kleene_sweeps(system, values, component, limit):
-    """Up to `limit` Gauss-Seidel sweeps on the component's equations, in
-    place in `values`, stopping after a sweep that changes nothing.  A sweep
-    takes the members in the reverse of the order the search reached them,
+def _kleene(system, values, component, limit, in_place):
+    """Up to `limit` rounds of Kleene iteration on the component's equations
+    in `values`, stopping after a round that changes nothing.  A round takes
+    the members in the reverse of the order the search reached them,
     dependencies first, and evaluates one only when a dependency in the
-    component changed since its own last evaluation.  Returns the number of
-    sweeps and whether the last one changed nothing."""
-    equations = system.equations
-    users = {var: [] for var in component}
-    for var in component:
-        for _, dep in equations[var][1]:
-            if dep in users:
-                users[dep].append(var)
+    component changed since its own last evaluation.  `in_place` writes each
+    new value at once (a Gauss-Seidel sweep); otherwise the round is a
+    Jacobi step, which writes its changes after the round.  Returns the
+    number of rounds and whether the last one changed nothing."""
+    users = _users(system.equations, component)
     order = component[::-1]
     pending = set(component)
-    for sweep in range(1, limit + 1):
-        quiet = True
+    for count in range(1, limit + 1):
+        changed = {}
         for var in order:
             if var in pending:
                 pending.discard(var)
                 value = system.evaluate(var, values)
                 if not _unchanged(value, values[var]):
-                    values[var] = value
-                    pending.update(users[var])
-                    quiet = False
-        if quiet:
-            return sweep, True
+                    changed[var] = value
+                    if in_place:
+                        values[var] = value
+                        pending.update(users[var])
+        if not changed:
+            return count, True
+        if not in_place:
+            # After the round, not during it: a user later in the order would
+            # be evaluated now, on the old values, and leave the worklist.
+            values.update(changed)
+            for var in changed:
+                pending.update(users[var])
     return limit, False
 
 
@@ -463,6 +435,7 @@ def _kleene_components(system, start, factor, descending=False, may_diverge=Fals
     values = dict.fromkeys(system.equations)
     iterations = 0
     saturated = False
+    in_place = not (descending or may_diverge)
     for component in _components(successors)[0]:
         if not _is_cyclic(component, successors):
             var = component[0]
@@ -472,7 +445,7 @@ def _kleene_components(system, start, factor, descending=False, may_diverge=Fals
         values.update(dict.fromkeys(component, start))
         limit = n * factor + 1
         if descending:
-            steps, repeated = _kleene_steps(system, values, component, n)
+            steps, repeated = _kleene(system, values, component, n, in_place)
             iterations += steps
             if repeated:
                 continue
@@ -480,10 +453,7 @@ def _kleene_components(system, start, factor, descending=False, may_diverge=Fals
                 value = values[var]
                 values[var] = handle.pow_inf(value)
                 saturated = saturated or not _unchanged(values[var], value)
-            steps, repeated = _kleene_steps(system, values, component, limit)
-        else:
-            ascend = _kleene_steps if may_diverge else _kleene_sweeps
-            steps, repeated = ascend(system, values, component, limit)
+        steps, repeated = _kleene(system, values, component, limit, in_place)
         iterations += steps
         if not repeated:
             template = (f"no fixed point: the component of {n} variables containing {{}} "
@@ -575,10 +545,7 @@ def _series_levels(system, descending):
                 saturated = True
             level.update(dict.fromkeys(component, fed))
         x = {var: {**monos, **level[var]} for var, monos in x.items()}
-    users = {var: [] for var in equations}
-    for var, deps in system._deps.items():
-        for dep in deps:
-            users[dep].append(var)
+    users = _users(equations, equations)
     marked = {var for var, value in out.items() if value.truncated}
     stack = list(marked)
     while stack:

@@ -129,6 +129,79 @@ def test_nnf_idempotent_on_random_formulas():
         assert to_nnf(nnf) == nnf
 
 
+def _reference_negate_rel_atoms(formula, rel):
+    """Substitute R / !R for the given fixed-point relation symbol."""
+    if isinstance(formula, Atom):
+        if formula.rel == rel:
+            return Atom(formula.rel, formula.args, not formula.negated)
+        return formula
+    if isinstance(formula, Eq):
+        return formula
+    if isinstance(formula, Not):
+        return Not(_reference_negate_rel_atoms(formula.sub, rel))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(_reference_negate_rel_atoms(formula.left, rel),
+                             _reference_negate_rel_atoms(formula.right, rel))
+    if isinstance(formula, Quant):
+        return Quant(formula.kind, formula.var, _reference_negate_rel_atoms(formula.sub, rel))
+    if formula.rel == rel:
+        # The inner binder shadows the outer relation symbol.
+        return formula
+    return Fp(formula.kind, formula.rel, formula.params,
+              _reference_negate_rel_atoms(formula.body, rel), formula.args)
+
+
+def _reference_to_nnf(formula, negate=False):
+    """The two-pass conversion: a negated fixed point substitutes !R for R
+    in its body, then converts the negated body."""
+    if isinstance(formula, Atom):
+        return Atom(formula.rel, formula.args, formula.negated != negate)
+    if isinstance(formula, Eq):
+        return Eq(formula.left, formula.right, formula.negated != negate)
+    if isinstance(formula, Not):
+        return _reference_to_nnf(formula.sub, not negate)
+    if isinstance(formula, (And, Or)):
+        left = _reference_to_nnf(formula.left, negate)
+        right = _reference_to_nnf(formula.right, negate)
+        return ({And: Or, Or: And}[type(formula)] if negate else type(formula))(left, right)
+    if isinstance(formula, Quant):
+        kind = {"exists": "forall", "forall": "exists"}[formula.kind] if negate else formula.kind
+        return Quant(kind, formula.var, _reference_to_nnf(formula.sub, negate))
+    if not negate:
+        return Fp(formula.kind, formula.rel, formula.params,
+                  _reference_to_nnf(formula.body), formula.args)
+    body = _reference_to_nnf(Not(_reference_negate_rel_atoms(formula.body, formula.rel)))
+    return Fp("gfp" if formula.kind == "lfp" else "lfp", formula.rel, formula.params, body,
+              formula.args)
+
+
+def _under_fixed_points(rng, f):
+    """f under one to three fixed points, each perhaps negated, binding R
+    (which random formulas read, so an inner binder shadows an outer one)
+    or F, with the bound symbol also read beside f."""
+    for _ in range(rng.randint(1, 3)):
+        rel = rng.choice(("R", "F"))
+        if rng.random() < 0.3:
+            f = Not(f)
+        body = rng.choice((And, Or))(Atom(rel, ("x0",), rng.random() < 0.3), f)
+        f = Fp(rng.choice(("lfp", "gfp")), rel, ("x0",), body, ("a",))
+        if rng.random() < 0.6:
+            f = Not(f)
+        if rng.random() < 0.3:
+            f = rng.choice((And, Or))(f, Atom(rel, ("b",)))
+    return f
+
+
+def test_nnf_in_one_pass_matches_the_two_pass_conversion():
+    rng = make_rng(salt=61)
+    universe = ("a", "b")
+    for _ in range(1500):
+        f = _under_fixed_points(rng, rng.choice((random_fo_formula(rng, universe, depth=4),
+                                                 random_poslfp_formula(rng, universe))))
+        assert to_nnf(f) == _reference_to_nnf(f), f
+        assert to_nnf(Not(f)) == _reference_to_nnf(Not(f)), f
+
+
 # --- game construction ---------------------------------------------------
 
 

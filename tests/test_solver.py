@@ -255,24 +255,27 @@ def test_series_lfp_with_finite_coefficients_is_not_saturated():
 # --- incremental steps against full evaluation ----------------------------
 
 
+def _reference_value(system, var, assignment):
+    """The full fold zero + c*x + ... or one * (c*x) * ... of var's
+    right-hand side."""
+    handle = system.handle
+    tag, body = system.equations[var]
+    if tag == "const":
+        return body
+    if tag == "sum":
+        acc = handle.zero
+        for coeff, dep in body:
+            acc = handle.add(acc, handle.mul(coeff, assignment[dep]))
+        return acc
+    acc = handle.one
+    for coeff, dep in body:
+        acc = handle.mul(acc, handle.mul(coeff, assignment[dep]))
+    return acc
+
+
 def _reference_apply(system, assignment):
     """EquationSystem.apply as a full Jacobi step: every equation evaluated."""
-    handle = system.handle
-    out = {}
-    for var, rhs in system.equations.items():
-        if rhs[0] == "const":
-            out[var] = rhs[1]
-        elif rhs[0] == "sum":
-            acc = handle.zero
-            for coeff, dep in rhs[1]:
-                acc = handle.add(acc, handle.mul(coeff, assignment[dep]))
-            out[var] = acc
-        else:
-            acc = handle.one
-            for coeff, dep in rhs[1]:
-                acc = handle.mul(acc, handle.mul(coeff, assignment[dep]))
-            out[var] = acc
-    return out
+    return {var: _reference_value(system, var, assignment) for var in system.equations}
 
 
 def _reference_fingerprint(assignment):
@@ -430,41 +433,130 @@ def _sorpinf_cycle():
     return build_system(game, token_valuation(game, SORPINF))
 
 
+def _jacobi_rounds(system, values, component, limit):
+    """Up to `limit` full-evaluation Jacobi steps on the component's
+    equations in `values`, stopping when an iterate repeats.  Returns the
+    number of steps, whether the last one repeated its input, and the
+    evaluations an incremental step needs: all members on the first step,
+    later the members with a dependency that changed value or marker in the
+    step before."""
+    deps = {var: {dep for _, dep in system.equations[var][1]} for var in component}
+    changed = None
+    evaluations = 0
+    for step in range(1, limit + 1):
+        out = {var: _reference_value(system, var, values) for var in component}
+        evaluations += sum(changed is None or bool(deps[var] & changed) for var in component)
+        before, after = _reference_fingerprint(values), _reference_fingerprint(out)
+        changed = {var for var in component if after[var] != before[var]}
+        if not changed:
+            return step, True, evaluations
+        values.update(out)
+    return limit, False, evaluations
+
+
 @pytest.mark.parametrize("make_system, fixpoint, steps, share", [
     (_dualnat_cancelling_cycle, "mu", 8, 0.6),
     (_sorpinf_cycle, "nu", 17, 0.8),
 ])
-def test_incremental_steps_skip_unchanged_equations(make_system, fixpoint, steps, share):
+def test_incremental_steps_skip_unchanged_equations(make_system, fixpoint, steps, share,
+                                                     monkeypatch):
     system = make_system()
-    calls = []
-    full_apply = system.apply
+    kleene = solver._kleene
+    replayed = []
 
-    def counting_apply(assignment, *args):
-        # The component steps update one assignment in place: keep a copy.
-        calls.append((dict(assignment),) + args)
-        return full_apply(assignment, *args)
+    def replaying(system, values, component, limit, in_place):
+        # Replay each call from a copy of its start, then check that the
+        # loop reached the same iterate by as many steps and evaluations.
+        assert not in_place
+        start = dict(values)
+        before = system.evaluations
+        out = kleene(system, values, component, limit, in_place)
+        *expected, evaluations = _jacobi_rounds(system, start, component, limit)
+        assert out == tuple(expected)
+        assert _reference_fingerprint(start) == _reference_fingerprint(values)
+        assert system.evaluations - before == evaluations
+        replayed.append(evaluations)
+        return out
 
-    system.apply = counting_apply
+    monkeypatch.setattr(solver, "_kleene", replaying)
     result = (kleene_lfp if fixpoint == "mu" else kleene_gfp)(system)
-    non_constant = {var: {dep for _, dep in rhs[1]}
-                    for var, rhs in system.equations.items() if rhs[0] != "const"}
+    non_constant = [var for var, rhs in system.equations.items() if rhs[0] != "const"]
     assert result.saturated == (fixpoint == "nu") and result.iterations == steps
-    assert len(calls) == result.iterations + 1
-    assert result.evaluations < share * len(calls) * len(non_constant)
-    # Replay: a step with a previous one evaluates exactly the equations
-    # with a dependency that changed value or marker; any other step, all.
-    expected = 0
-    for assignment, previous, variables in ((args + (None, None))[:3] for args in calls):
-        evaluated = [var for var in variables or system.equations if var in non_constant]
-        if previous is None:
-            expected += len(evaluated)
-            continue
-        before = _reference_fingerprint(previous[0])
-        after = _reference_fingerprint({var: assignment[var] for var in before})
-        changed = {var for var, mark in before.items() if after[var] != mark}
-        expected += sum(bool(non_constant[var] & changed) for var in evaluated)
-    assert result.evaluations == expected
+    assert result.evaluations < share * (result.iterations + 1) * len(non_constant)
+    # Every non-constant equation is on the cycle; the last application
+    # verifies the solution.
+    assert result.evaluations == sum(replayed) + len(non_constant)
     assert result.values == _reference_solve(system, fixpoint).values
+
+
+def _jacobi_replay(system, fixpoint):
+    """The n+1 rule (mu) or Naaf's closed form (nu) of the module docstring
+    by full-evaluation Jacobi steps per component, in component order:
+    (values, iterations, evaluations, saturated), or None when a component
+    of the n+1 rule still changes.  The evaluations are those of
+    _jacobi_rounds, one per non-constant acyclic equation and one per
+    non-constant equation for the verifying application."""
+    handle = system.handle
+    successors = {var: [dep for _, dep in rhs[1]] if rhs[0] != "const" else ()
+                  for var, rhs in system.equations.items()}
+    values = {}
+    iterations = 0
+    evaluations = sum(rhs[0] != "const" for rhs in system.equations.values())
+    saturated = False
+    for component in solver._components(successors)[0]:
+        if not solver._is_cyclic(component, successors):
+            var = component[0]
+            values[var] = _reference_value(system, var, values)
+            evaluations += system.equations[var][0] != "const"
+            continue
+        n = len(component)
+        values.update(dict.fromkeys(component, handle.top if fixpoint == "nu" else handle.zero))
+        if fixpoint == "nu":
+            steps, repeated, count = _jacobi_rounds(system, values, component, n)
+            iterations += steps
+            evaluations += count
+            if repeated:
+                continue
+            before = _reference_fingerprint(values)
+            values.update({var: handle.pow_inf(values[var]) for var in component})
+            saturated = saturated or _reference_fingerprint(values) != before
+        steps, repeated, count = _jacobi_rounds(system, values, component, n + 1)
+        iterations += steps
+        evaluations += count
+        if not repeated:
+            return None
+    return values, iterations, evaluations, saturated
+
+
+# The selectors whose gfp takes Naaf's closed form.
+NAAF = [s for s in SHIPPED_SELECTORS
+        if get_semiring(s).flags.absorptive and get_semiring(s).flags.fully_omega_continuous]
+
+
+@pytest.mark.parametrize("selector, fixpoint", [(s, "nu") for s in NAAF] +
+                         [(s, "mu") for s in NO_LFP])
+def test_jacobi_methods_match_a_full_evaluation_replay(selector, fixpoint):
+    handle = get_semiring(selector)
+    rng = make_rng(salt=59)
+    corpus = [random_cyclic_game(rng, max_positions=8, max_out=3) for _ in range(40)]
+    corpus += [alternating_cycle_game(n) for n in (2, 5, 8)]
+    replayed = 0
+    for game in corpus:
+        basic = _solver_valuation(rng, game, handle, selector, fixpoint, rng.randint(0, 1))
+        system = build_system(game, basic)
+        expected = _jacobi_replay(system, fixpoint)
+        case = (game.owners, game.moves)
+        if expected is None:
+            with pytest.raises(NoConvergence):
+                solve_game(game, basic, fixpoint)
+            continue
+        result = solve_game(game, basic, fixpoint)
+        values, iterations, evaluations, saturated = expected
+        assert _reference_fingerprint(result.values) == _reference_fingerprint(values), case
+        assert (result.iterations, result.evaluations, result.saturated) == (
+            iterations, evaluations, saturated), case
+        replayed += result.iterations > 0
+    assert replayed > 10
 
 
 def _evaluate_pool(handle):
@@ -629,20 +721,25 @@ def test_series_gfp_marks_exactly_what_depends_on_a_dropped_monomial():
 
 def _jacobi_steps(monkeypatch):
     """Make ascending components take the incremental Jacobi steps of the
-    descending phases in place of sweeps: the loop the sweeps replaced."""
-    monkeypatch.setattr(solver, "_kleene_sweeps", solver._kleene_steps)
+    descending phases in place of sweeps: the schedule the sweeps replaced."""
+    kleene = solver._kleene
+
+    def jacobi(system, values, component, limit, in_place):
+        return kleene(system, values, component, limit, False)
+
+    monkeypatch.setattr(solver, "_kleene", jacobi)
 
 
 def _counting_sweeps(monkeypatch, counts):
-    """Record the sweeps of each ascending component in counts."""
-    sweeps = solver._kleene_sweeps
+    """Record the rounds of each ascending component in counts."""
+    kleene = solver._kleene
 
-    def counting(system, values, component, limit):
-        out = sweeps(system, values, component, limit)
+    def counting(system, values, component, limit, in_place):
+        out = kleene(system, values, component, limit, in_place)
         counts[tuple(component)] = out[0]
         return out
 
-    monkeypatch.setattr(solver, "_kleene_sweeps", counting)
+    monkeypatch.setattr(solver, "_kleene", counting)
 
 
 def test_whypoly_components_repeat_within_the_bound(monkeypatch):
@@ -809,23 +906,23 @@ def _cycle_at_v0(handle, n):
 
 
 @pytest.mark.parametrize("positions", (32, 64, 128))
-def test_sorpinf_gfp_of_cycle_games_takes_linearly_many_steps(positions):
+def test_sorpinf_gfp_of_cycle_games_takes_linearly_many_steps(positions, monkeypatch):
     n = positions // 2
     game = alternating_cycle_game(n)
     system = build_system(game, token_valuation(game, SORPINF))
     component_steps = []
-    full_apply = system.apply
+    kleene = solver._kleene
 
-    def counting_apply(assignment, previous=None, variables=None):
-        if variables is not None:
-            component_steps.append(len(variables))
-        return full_apply(assignment, previous, variables)
+    def counting(system, values, component, limit, in_place):
+        out = kleene(system, values, component, limit, in_place)
+        component_steps.append((len(component), out[0]))
+        return out
 
-    system.apply = counting_apply
+    monkeypatch.setattr(solver, "_kleene", counting)
     result = kleene_gfp(system)
     # One cyclic component, the n cycle positions; the terminals are constants.
-    assert set(component_steps) == {n}
-    assert len(component_steps) == result.iterations <= 2 * (n + 1)
+    assert {size for size, _ in component_steps} == {n}
+    assert sum(steps for _, steps in component_steps) == result.iterations <= 2 * (n + 1)
     assert result.verified and result.saturated
     assert result["v0"] == _cycle_at_v0(SORPINF, n)[1]
 
