@@ -33,7 +33,6 @@ from .logic import (
     game_eval,
     parse_formula,
     poslfp_eval_direct,
-    to_nnf,
 )
 from .poly import Polynomial, specialize
 from .semirings import SHIPPED_SELECTORS, get_semiring, sr_check_laws
@@ -60,9 +59,6 @@ def _add_common(sub):
     sub.add_argument("--semiring", default="natpoly",
                      help="semiring selector, e.g. sorpinf, series:4, minmax:a<b<c")
     sub.add_argument("--format", choices=("text", "structured"), default="text")
-    sub.add_argument("--trunc-degree", type=int, default=None,
-                     help="degree bound of a series or seriesdual selector "
-                          "(replaces its D); no effect on other semirings")
     sub.add_argument("--assign", action="append", default=[], metavar="TOK=VALUE",
                      help="specialize polynomial results after solving")
     sub.add_argument("--into", default=None, metavar="SEMIRING",
@@ -128,13 +124,6 @@ def _named(names, texts):
     return texts
 
 
-def _handle(args):
-    selector = args.semiring
-    if args.trunc_degree is not None and selector.split(":")[0] in ("series", "seriesdual"):
-        selector = f"{selector.split(':')[0]}:{args.trunc_degree}"
-    return get_semiring(selector)
-
-
 def _format(values, handle, args):
     """The printed text of each value: its `--assign` specialization into
     the `--into` semiring when asked for, formatted as one batch."""
@@ -159,7 +148,7 @@ def _sort_key(name):
 
 
 def cmd_eval_game(args):
-    handle = _handle(args)
+    handle = get_semiring(args.semiring)
     gf = parse_game_file(_read_path(args.game))
     game = gf.graph()
     basic = gf.basic_valuation(handle, args.player)
@@ -190,7 +179,7 @@ def _read_path(path):
 
 
 def cmd_eval_formula(args):
-    handle = _handle(args)
+    handle = get_semiring(args.semiring)
     text = args.formula if args.inline else _read_path(args.formula).strip()
     formula = parse_formula(text)
     interp_file = parse_interpretation_file(_read_path(args.interpretation))
@@ -198,7 +187,7 @@ def cmd_eval_formula(args):
     if args.mode == "compositional":
         value = fo_eval(pi, formula)
     elif args.mode == "direct":
-        value = poslfp_eval_direct(pi, to_nnf(formula))
+        value = poslfp_eval_direct(pi, formula)
     else:
         value = game_eval(pi, formula, args.player)
     (text,) = _format([value], handle, args)
@@ -211,7 +200,7 @@ def cmd_eval_formula(args):
 
 
 def cmd_solve_system(args):
-    handle = _handle(args)
+    handle = get_semiring(args.semiring)
     gf = parse_game_file(_read_path(args.game))
     game = gf.graph()
     basic = gf.basic_valuation(handle, args.player)
@@ -233,7 +222,7 @@ def cmd_solve_system(args):
 
 
 def cmd_check(args):
-    handle = _handle(args)
+    handle = get_semiring(args.semiring)
     lines = []
     if args.what == "laws":
         failures = []
@@ -270,7 +259,7 @@ def cmd_check(args):
 
 
 def cmd_census(args):
-    handle = _handle(args)
+    handle = get_semiring(args.semiring)
     gf = parse_game_file(_read_path(args.game))
     game = gf.graph()
     basic = gf.basic_valuation(handle, args.player)

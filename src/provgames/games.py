@@ -184,8 +184,8 @@ class Strategy:
     """A strategy recorded by its occurrence counts under the projection.
 
     position_counts covers every position occurring in the subtree (the
-    formula for F(S) only consumes the terminal ones); cutoff_count tracks
-    leaves created by truncation (unfinished plays).
+    formula for F(S) only consumes the terminal ones); admits_infinite says
+    whether truncation cut any leaf off (an unfinished play).
     """
 
     owner: int
@@ -193,11 +193,7 @@ class Strategy:
     position_counts: dict
     move_counts: dict
     admits_infinite: bool = False
-    cutoff_count: int = 0
     paths: tuple = ()
-
-    def count(self, v):
-        return self.position_counts.get(v, 0)
 
     def outcome_counts(self, game):
         return {t: c for t, c in self.position_counts.items() if game.is_terminal(t)}
@@ -424,7 +420,6 @@ def enumerate_truncated_strategies(game, basic, player, root, n, max_nodes=100_0
                 position_counts=position_counts,
                 move_counts=move_counts,
                 admits_infinite=cut > 0,
-                cutoff_count=cut,
                 paths=s.paths,
             )
         )

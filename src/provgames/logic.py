@@ -8,12 +8,15 @@ itself into an equation system, one variable per tuple the sentence reaches
 of each lfp relation (nested fixed points join the same system), and solves
 it with the same `kleene_lfp`; the compositional valuation of a first-order
 sentence is the fixed-point-free case of that compiler, where every
-subformula folds to a constant.  The two routes to a posLFP value share only
-the solver, so comparing them checks the game construction.
+subformula folds to a constant.  The two routes to a posLFP value share the
+formula plan (`_game_plan`), which binds every variable, and the solver;
+the plan is checked against evaluators written on the syntax tree: the
+tests' `_reference_mc_game` and `_reference_direct`, and `model_check`.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     ArityError,
@@ -344,18 +347,6 @@ def _nnf(formula, negate, flipped):
     raise ProvError(f"unknown formula node {formula!r}")
 
 
-def is_nnf(formula):
-    if isinstance(formula, (Atom, Eq)):
-        return True
-    if isinstance(formula, Not):
-        return False
-    if isinstance(formula, (And, Or)):
-        return is_nnf(formula.left) and is_nnf(formula.right)
-    if isinstance(formula, Quant):
-        return is_nnf(formula.sub)
-    return is_nnf(formula.body)
-
-
 def check_poslfp(formula):
     """Reject gfp operators and non-positive bound-relation occurrences."""
     def walk(f, bound_rels):
@@ -517,18 +508,20 @@ class _Compiler:
     """Compiles a formula in negation normal form under an interpretation
     into one equation system (its callers convert to NNF once, up front).
 
-    A subformula compiles to a right-hand side in the `EquationSystem`
-    format: ('const', value) when it mentions no bound relation, else
-    (op, [(coefficient, var), ...]).  A child with its parent's operator, or
-    with a single term, is flattened into the parent; any other child gets
-    an auxiliary variable `#k`.  The constants of a sum enter as one
-    coefficient of the shared variable `1`; those of a product multiply the
-    coefficient of its first term, and a zero one makes the product 0.
+    `compile(i, values)` compiles occurrence i of the formula's game plan
+    under a values tuple, the key of a game position, to a right-hand side
+    in the `EquationSystem` format: ('const', value) when it mentions no
+    bound relation, else (op, [(coefficient, var), ...]), the sum of a
+    Verifier position's successors or the product of a Falsifier one's.  A
+    child with its parent's operator, or with a single term, is flattened
+    into the parent; any other child gets an auxiliary variable `#k`.  The
+    constants of a sum enter as one coefficient of the shared variable `1`;
+    those of a product multiply the coefficient of its first term, and a
+    zero one makes the product 0.
 
-    Every lfp occurrence is one relation instance, with one variable
-    `R(a,b)` per tuple the sentence reaches; nested fixed points join the
-    same system (Bekic).  A fixed-point body sees its own parameters only,
-    so the instance does not depend on where the occurrence is evaluated.
+    Every lfp occurrence is one relation instance, named on first use, with
+    one variable `R(a,b)` per tuple the sentence reaches, the value of an
+    unfolding position; nested fixed points join the same system (Bekic).
     `compile` only queues a tuple variable the first time it references it;
     `drain` compiles the queued bodies, which may queue more, until none is
     left.
@@ -536,40 +529,31 @@ class _Compiler:
 
     ONE = "1"
 
-    def __init__(self, pi, fixpoints):
+    def __init__(self, pi, formula, fixpoints):
         self.pi = pi
         self.handle = pi.handle
+        self.occurrences = _game_plan(formula, pi.universe)
         self.fixpoints = fixpoints
         self.equations = {}
-        self.instances = {}  # id of an Fp node -> its relation instance name
-        self.bodies = {}  # instance name -> (params, body, relation environment)
+        self.instances = {}  # body occurrence -> its relation instance name
         self.reached = set()  # tuple variables referenced so far
-        self.pending = []  # (variable, instance name, args) not compiled yet
+        self.pending = []  # (variable, body occurrence, args) not compiled yet
 
-    def compile(self, f, env, rel_env):
-        pi = self.pi
-        if isinstance(f, Atom):
-            args = tuple(_resolve(t, env, pi.universe) for t in f.args)
-            if f.rel in rel_env:
-                return "sum", [(self.handle.one, self.tuple_var(rel_env[f.rel], args))]
-            return "const", pi.literal(f.rel, args, not f.negated)
-        if isinstance(f, Eq):
-            a = _resolve(f.left, env, pi.universe)
-            b = _resolve(f.right, env, pi.universe)
-            return "const", pi.equality(a, b, f.negated)
-        if isinstance(f, (And, Or)):
-            parts = [self.compile(f.left, env, rel_env), self.compile(f.right, env, rel_env)]
-            return self.combine("prod" if isinstance(f, And) else "sum", parts)
-        if isinstance(f, Quant):
-            parts = [self.compile(f.sub, {**env, f.var: a}, rel_env) for a in pi.universe]
-            return self.combine("sum" if f.kind == "exists" else "prod", parts)
-        if isinstance(f, Fp):
-            if not self.fixpoints:
-                raise NotPosLFP("fo_eval handles first-order sentences only")
-            name = self.instance(f, rel_env)
-            args = tuple(_resolve(t, env, pi.universe) for t in f.args)
-            return "sum", [(self.handle.one, self.tuple_var(name, args))]
-        raise ProvError(f"unknown formula node {f!r}")
+    def compile(self, i, values):
+        occ = self.occurrences[i]
+        kind = occ.kind
+        if kind == "unfold" and not self.fixpoints:
+            raise NotPosLFP("fo_eval handles first-order sentences only")
+        step = occ.step(values, self.pi.universe)
+        if kind == "branch" or kind == "quant":
+            parts = [self.compile(child, child_values) for child, child_values in step]
+            return self.combine("sum" if occ.owner == 0 else "prod", parts)
+        if kind == "unfold":
+            return "sum", [(self.handle.one, self.tuple_var(occ, step))]
+        if kind == "literal":
+            rel, positive = occ.literal
+            return "const", self.pi.literal(rel, step, positive)
+        return "const", self.pi.equality(step[0], step[1], occ.literal)
 
     def combine(self, op, parts):
         handle = self.handle
@@ -599,41 +583,32 @@ class _Compiler:
         self.equations[var] = rhs
         return var
 
-    def instance(self, f, rel_env):
-        """The relation instance of an lfp occurrence; its body is recorded
-        on first use and compiled one reached tuple at a time."""
-        name = self.instances.get(id(f))
+    def tuple_var(self, occ, args):
+        """The variable of the tuple args of the instance that the unfolding
+        occurrence occ enters, queued on first use.  The lfp occurrence, met
+        first, names the instance: `R`, or `R#k` if an earlier one took `R`."""
+        name = self.instances.get(occ.child)
         if name is None:
-            taken = f.rel in self.instances.values()
-            name = f"{f.rel}#{len(self.instances) + 1}" if taken else f.rel
-            self.instances[id(f)] = name
-            self.bodies[name] = (f.params, f.body, {**rel_env, f.rel: name})
-        return name
-
-    def tuple_var(self, name, args):
-        """The variable of one tuple of an instance, queued on first use."""
-        var = _tuple_var(name, args)
+            taken = occ.rel in self.instances.values()
+            name = f"{occ.rel}#{len(self.instances) + 1}" if taken else occ.rel
+            self.instances[occ.child] = name
+        var = f"{name}({','.join(args)})"
         if var not in self.reached:
             self.reached.add(var)
-            self.pending.append((var, name, args))
+            self.pending.append((var, occ.child, args))
         return var
 
     def drain(self):
         """Compile the body of every queued tuple, and of every tuple those
         bodies reach, so that the equations mention only defined variables."""
         while self.pending:
-            var, name, args = self.pending.pop()
-            params, body, rel_env = self.bodies[name]
-            self.equations[var] = self.compile(body, dict(zip(params, args)), rel_env)
-
-
-def _tuple_var(name, args):
-    return f"{name}({','.join(args)})"
+            var, body, args = self.pending.pop()
+            self.equations[var] = self.compile(body, args)
 
 
 def fo_eval(pi, sentence):
     """Compositional semiring value of a first-order sentence."""
-    return _Compiler(pi, fixpoints=False).compile(to_nnf(sentence), {}, {})[1]
+    return _Compiler(pi, to_nnf(sentence), fixpoints=False).compile(0, ())[1]
 
 
 # --- model-checking games -----------------------------------------------------
@@ -693,51 +668,74 @@ class _Occurrence:
     or literal follow from its values:
 
     * 'branch' (And, Or): one successor per `children` entry (occurrence,
-      index map), whose values are the parent's picked by the index map
-      (None when the child keeps all of them);
-    * 'quant': one successor per universe element a, with the values picked
-      by `index` followed by a;
-    * 'unfold' (an lfp, or an atom of a relation bound by one): one
-      successor, the body occurrence `child`, with the resolved arguments;
+      picker), whose values the picker takes from the parent's (None when
+      the child keeps all of them);
+    * 'quant': one successor per universe element a, with the values `pick`
+      takes from the parent's, followed by a;
+    * 'unfold' (an lfp of symbol `rel`, or an atom a fixed point binds):
+      one successor, the body occurrence `child`, with the resolved arguments;
     * 'literal' (any other atom) and 'equality': a terminal.
 
-    Arguments resolve through `picks`, indices into the position's values
-    followed by `constants`; an unfolding picks one argument per distinct
-    parameter, the last one bound to it.  `error` is the (exception class,
-    message) the occurrence raises when a game reaches it.
+    Arguments resolve by `pick` from the position's values followed by
+    `constants`; an unfolding picks one argument per distinct parameter,
+    the last one bound to it.  `error` is the (exception class, message)
+    the occurrence raises when a game reaches it.
     """
 
-    __slots__ = ("path", "variables", "kind", "owner", "children", "child", "index",
-                 "picks", "constants", "literal", "error")
+    __slots__ = ("path", "variables", "kind", "owner", "children", "child", "pick",
+                 "constants", "literal", "rel", "error")
 
     def __init__(self, path, variables):
         self.path = path
         self.variables = variables
         self.error = None
 
+    def step(self, values, universe):
+        """The keys of the successors of the position with these values,
+        for a branch or quantifier, or else its resolved arguments; raises
+        the occurrence's error first."""
+        if self.error is not None:
+            cls, message = self.error
+            raise cls(message)
+        kind = self.kind
+        if kind == "branch":
+            return [(child, values if pick is None else pick(values))
+                    for child, pick in self.children]
+        if kind == "quant":
+            outer = self.pick(values)
+            return [(self.child, outer + (a,)) for a in universe]
+        return self.pick(values + self.constants)
+
     def resolve(self, terms, members):
-        """Set `constants` and return the picks of the terms.  A term that
-        is neither a variable nor a universe element picks None and sets
-        `error`, unless an earlier check set it."""
-        picks, constants = [], []
+        """Set `constants` to the terms that are not variables, and return
+        the index of each term into a position's values followed by them.
+        A constant that is not a universe element sets `error`, unless an
+        earlier check set it."""
+        constants = []
         for t in terms:
-            if t in self.variables:
-                picks.append(self.variables.index(t))
-            elif t in members:
-                picks.append(len(self.variables) + len(constants))
+            if t not in self.variables:
                 constants.append(t)
-            else:
-                picks.append(None)
-                if self.error is None:
+                if t not in members and self.error is None:
                     self.error = (NotSentence, f"unbound variable {t!r}")
         self.constants = tuple(constants)
-        return tuple(picks)
+        return tuple(map((self.variables + self.constants).index, terms))
+
+
+def _picker(indices):
+    """The function, in C, from a tuple to the tuple of its entries at
+    `indices`: `itemgetter` of them, or of a slice for fewer than two."""
+    indices = tuple(indices)
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
 
 
 def _game_plan(formula, universe):
     """The occurrences of an nnf formula in preorder, the whole formula
     first.  A fixed-point body sees only its parameters, and an atom is
-    unfolded by the innermost fixed point around it that binds its symbol."""
+    unfolded by the innermost fixed point around it that binds its symbol.
+    A negation raises at once, any other fault at the positions it is in."""
     members = set(universe)
     occurrences = []
 
@@ -750,22 +748,22 @@ def _game_plan(formula, universe):
             occ.child, params = binders[f.rel]
             if f.negated:
                 occ.error = (NotPosLFP, f"fixed-point relation {f.rel} occurs negatively")
-            occ.picks = tuple(dict(zip(params, occ.resolve(f.args, members))).values())
+            occ.pick = _picker(dict(zip(params, occ.resolve(f.args, members))).values())
         elif isinstance(f, Atom):
             occ.kind, occ.owner, occ.literal = "literal", TERMINAL, (f.rel, not f.negated)
-            occ.picks = occ.resolve(f.args, members)
+            occ.pick = _picker(occ.resolve(f.args, members))
         elif isinstance(f, Eq):
             occ.kind, occ.owner, occ.literal = "equality", TERMINAL, f.negated
-            occ.picks = occ.resolve((f.left, f.right), members)
+            occ.pick = _picker(occ.resolve((f.left, f.right), members))
         elif isinstance(f, (And, Or)):
             occ.kind, occ.owner = "branch", 0 if isinstance(f, Or) else 1
             children = []
             for i, sub in enumerate((f.left, f.right)):
                 keep = free_variables(sub)
                 sub_variables = tuple(v for v in variables if v in keep)
-                index = (None if sub_variables == variables
-                         else tuple(map(variables.index, sub_variables)))
-                children.append((plan(sub, path + (i,), sub_variables, binders), index))
+                pick = (None if sub_variables == variables
+                        else _picker(map(variables.index, sub_variables)))
+                children.append((plan(sub, path + (i,), sub_variables, binders), pick))
             occ.children = tuple(children)
         elif isinstance(f, Quant):
             occ.kind, occ.owner = "quant", 0 if f.kind == "exists" else 1
@@ -775,17 +773,19 @@ def _game_plan(formula, universe):
             # collapsing the children would merge moves the owner can choose
             # between, undercounting in non-idempotent semirings.
             outer = tuple(v for v in variables if v in keep and v != f.var)
-            occ.index = tuple(map(variables.index, outer))
+            occ.pick = _picker(map(variables.index, outer))
             occ.child = plan(f.sub, path + (0,), outer + (f.var,), binders)
         elif isinstance(f, Fp):
-            occ.kind, occ.owner = "unfold", 0
+            occ.kind, occ.owner, occ.rel = "unfold", 0, f.rel
             if f.kind != "lfp":
                 occ.error = (NotPosLFP, "greatest fixed points are outside the fragment")
             binding = dict(zip(f.params, occ.resolve(f.args, members)))
-            occ.picks = tuple(binding.values())
+            occ.pick = _picker(binding.values())
             # The body is planned next, so its index is the next one.
             body_binders = {**binders, f.rel: (len(occurrences), f.params)}
             occ.child = plan(f.body, path + (0,), tuple(binding), body_binders)
+        elif isinstance(f, Not):
+            raise NotNNF("model-checking games require negation normal form")
         else:
             occ.error = (ProvError, f"unknown formula node {f!r}")
         return number
@@ -802,15 +802,13 @@ def build_mc_game(universe, formula):
     owns conjunctions and universal quantifiers.  A position is a subformula
     occurrence with values for the variables its subgame can depend on,
     keyed by (occurrence index, values tuple) after a plan made once per
-    formula (`_game_plan`).  The game numbers positions densely in
-    first-visit order of a depth-first search with an explicit stack (the
-    root is 0), appending each move once its target's subgame is built, so
-    every later layer hashes small integers and deep unfoldings do not
-    recurse.  An occurrence that is not in the fragment or not a sentence
-    raises when the search reaches it.
+    formula (`_game_plan`, which `_Compiler` shares).  The game numbers
+    positions densely in first-visit order of a depth-first search with an
+    explicit stack (the root is 0), appending each move once its target's
+    subgame is built, so every later layer hashes small integers and deep
+    unfoldings do not recurse.  An occurrence that is not in the fragment or
+    not a sentence raises when the search reaches it.
     """
-    if not is_nnf(formula):
-        raise NotNNF("model-checking games require negation normal form")
     universe = tuple(universe)
     occurrences = _game_plan(formula, universe)
     ids = {}  # (occurrence index, values) -> position
@@ -826,26 +824,18 @@ def build_mc_game(universe, formula):
         keys.append(key)
         i, values = key
         occ = occurrences[i]
-        if occ.error is not None:
-            cls, message = occ.error
-            raise cls(message)
+        step = occ.step(values, universe)
         owners[pos] = occ.owner
         kind = occ.kind
-        if kind == "branch":
-            return pos, iter([(child, values if index is None
-                               else tuple(map(values.__getitem__, index)))
-                              for child, index in occ.children])
-        if kind == "quant":
-            outer = tuple(map(values.__getitem__, occ.index))
-            return pos, iter([(occ.child, outer + (a,)) for a in universe])
-        args = tuple(map((values + occ.constants).__getitem__, occ.picks))
+        if kind == "branch" or kind == "quant":
+            return pos, iter(step)
         if kind == "unfold":
-            return pos, iter(((occ.child, args),))
+            return pos, iter(((occ.child, step),))
         if kind == "literal":
             rel, positive = occ.literal
-            terminal_literals[pos] = (rel, args, positive)
+            terminal_literals[pos] = (rel, step, positive)
         else:
-            terminal_literals[pos] = ("=", args[0], args[1], occ.literal)
+            terminal_literals[pos] = ("=", step[0], step[1], occ.literal)
         return pos, iter(())
 
     stack = [enter((0, ()))]
@@ -905,8 +895,8 @@ def poslfp_eval_direct(pi, sentence):
     """
     nnf = to_nnf(sentence)
     check_poslfp(nnf)
-    compiler = _Compiler(pi, fixpoints=True)
-    rhs = compiler.compile(nnf, {}, {})
+    compiler = _Compiler(pi, nnf, fixpoints=True)
+    rhs = compiler.compile(0, ())
     compiler.drain()
     if rhs[0] == "const":
         return rhs[1]

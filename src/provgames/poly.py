@@ -163,10 +163,6 @@ class Polynomial:
     def is_zero(self):
         return not self.monos
 
-    @property
-    def is_one(self):
-        return self.monos == _ONE_MONOS
-
     def coefficient(self, mono):
         return self.monos.get(mono, 0)
 

@@ -195,11 +195,19 @@ def test_exit_usage_on_bad_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval-game", REACH, "--fixpoint", "sideways"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("selector, flag", [
     # --max-iter bounded only the retired numeric solver.
+    ("dualnat", "--max-iter"),
+    # --trunc-degree repeated the D of a series:D or seriesdual:D selector.
+    ("series:4", "--trunc-degree"),
+])
+def test_exit_usage_on_retired_flag(capsys, selector, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["solve-system", REACH, "--semiring", "dualnat", "--max-iter", "7"])
+        main(["solve-system", REACH, "--semiring", selector, flag, "7"])
     assert exc.value.code == 1
-    assert "unrecognized arguments: --max-iter 7" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
 
 
 def test_exit_usage_on_missing_command(capsys):

@@ -669,8 +669,8 @@ def test_transitive_closure_compiles_to_one_sum_per_tuple():
     # only the tuples R(a,b) reaches, R(z,b) for each z, are compiled.
     natinf = get_semiring("natinf")
     pi = KInterpretation(natinf, ("a", "b"), {"E": 2}, {("E", ("a", "b"), True): 2})
-    compiler = _Compiler(pi, fixpoints=True)
-    root = compiler.compile(to_nnf(parse_formula(f"{TC}(a,b)")), {}, {})
+    compiler = _Compiler(pi, to_nnf(parse_formula(f"{TC}(a,b)")), fixpoints=True)
+    root = compiler.compile(0, ())
     assert root == ("sum", [(1, "R(a,b)")])
     assert compiler.equations == {}
     compiler.drain()
@@ -680,6 +680,132 @@ def test_transitive_closure_compiles_to_one_sum_per_tuple():
         "R(b,b)": ("const", 0),
     }
     assert poslfp_eval_direct(pi, parse_formula(f"{TC}(a,b)")) == 2
+
+
+class _EnvCompiler(_Compiler):
+    """`_Compiler` as it was before it compiled from the game plan: a walk
+    of the syntax tree that binds variables in an environment dict per
+    quantifier step, resolves every term through `_resolve`, and names one
+    relation instance per lfp node.  Only `combine` and `auxiliary` are
+    shared."""
+
+    def __init__(self, pi, fixpoints):
+        self.pi, self.handle, self.fixpoints = pi, pi.handle, fixpoints
+        self.equations, self.instances, self.bodies = {}, {}, {}
+        self.reached, self.pending = set(), []
+
+    def compile(self, f, env, rel_env):
+        pi = self.pi
+        if isinstance(f, Atom):
+            args = tuple(_resolve(t, env, pi.universe) for t in f.args)
+            if f.rel in rel_env:
+                return "sum", [(self.handle.one, self.tuple_var(rel_env[f.rel], args))]
+            return "const", pi.literal(f.rel, args, not f.negated)
+        if isinstance(f, Eq):
+            a = _resolve(f.left, env, pi.universe)
+            b = _resolve(f.right, env, pi.universe)
+            return "const", pi.equality(a, b, f.negated)
+        if isinstance(f, (And, Or)):
+            parts = [self.compile(f.left, env, rel_env), self.compile(f.right, env, rel_env)]
+            return self.combine("prod" if isinstance(f, And) else "sum", parts)
+        if isinstance(f, Quant):
+            parts = [self.compile(f.sub, {**env, f.var: a}, rel_env) for a in pi.universe]
+            return self.combine("sum" if f.kind == "exists" else "prod", parts)
+        if not self.fixpoints:
+            raise NotPosLFP("fo_eval handles first-order sentences only")
+        name = self.instances.get(id(f))
+        if name is None:
+            taken = f.rel in self.instances.values()
+            name = f"{f.rel}#{len(self.instances) + 1}" if taken else f.rel
+            self.instances[id(f)] = name
+            self.bodies[name] = (f.params, f.body, {**rel_env, f.rel: name})
+        args = tuple(_resolve(t, env, pi.universe) for t in f.args)
+        return "sum", [(self.handle.one, self.tuple_var(name, args))]
+
+    def tuple_var(self, name, args):
+        var = f"{name}({','.join(args)})"
+        if var not in self.reached:
+            self.reached.add(var)
+            self.pending.append((var, name, args))
+        return var
+
+    def drain(self):
+        while self.pending:
+            var, name, args = self.pending.pop()
+            params, body, rel_env = self.bodies[name]
+            self.equations[var] = self.compile(body, dict(zip(params, args)), rel_env)
+
+
+def _compiled(compiler, compile_root):
+    """The root right-hand side and the equations in order, or the type and
+    message of the ProvError raised instead."""
+    try:
+        rhs = compile_root()
+        compiler.drain()
+    except ProvError as exc:
+        return type(exc), str(exc)
+    return rhs, list(compiler.equations.items())
+
+
+# Sentences the random corpora do not produce: a fixed-point body reading an
+# outer variable, a free variable, one symbol bound by three fixed points.
+COMPILER_EXTRAS = [
+    "exists u. [lfp R(x). E(u,x) | R(x)](a)",
+    "P(x) | exists y. E(y,x)",
+    "[lfp R(x). P(x) | R(x)](a) & forall y. [lfp R(x). E(x,y) | R(x)](b)",
+    "[lfp R(x). P(x) | R(x)](a) & exists y. ([lfp R(x). E(x,x) | R(x)](y)"
+    " | [lfp R(z). E(z,c) | exists x. (E(z,x) & R(x))](y))",
+]
+
+
+@pytest.mark.parametrize("selector", ("bool", "natinf", "sorpinf", "tropical", "dualnat"))
+def test_compiler_matches_the_environment_walk(selector):
+    handle = get_semiring(selector)
+    rng = make_rng(salt=62)
+    nested = _nested_interpretation(handle)
+    cases = [(nested, parse_formula(text)) for text in NESTED + COMPILER_EXTRAS]
+    for universe, n in ((("a", "b"), 40), (("a", "b", "c"), 15)):
+        for _ in range(n):
+            fo = random_fo_formula(rng, universe, depth=3)
+            lfp = random_poslfp_formula(rng, universe)
+            pi = random_interpretation(rng, handle, universe,
+                                       rels={**RELS, "F": len(lfp.params)})
+            cases += [(pi, fo), (pi, Not(fo)), (pi, lfp)]
+    count = 0
+    for pi, f in cases:
+        nnf = to_nnf(f)
+        for fixpoints in (False, True):
+            if fixpoints:
+                try:
+                    check_poslfp(nnf)  # as `poslfp_eval_direct` does first
+                except ProvError:
+                    continue
+            new = _Compiler(pi, nnf, fixpoints)
+            old = _EnvCompiler(pi, fixpoints)
+            expected = _compiled(old, lambda: old.compile(nnf, {}, {}))
+            assert _compiled(new, lambda: new.compile(0, ())) == expected, f
+            count += 1
+    assert count >= 300
+
+
+def test_a_repeated_parameter_gets_one_tuple_per_distinct_binding():
+    # u = a and u = b both bind x to b in [lfp R(x,x). ...](u,b), so both
+    # reach one tuple variable R(b), as game mode has one unfolding position
+    # with x = b; the body of R(b) reaches R(a).
+    f = parse_formula("exists u. [lfp R(x,x). E(x,x) | exists y. (E(x,y) & R(y,y))](u,b)")
+    edges = (("a", "b"), ("b", "b"))
+    natinf = get_semiring("natinf")
+    pi = KInterpretation(natinf, ("a", "b"), {"E": 2}, {("E", e, True): 1 for e in edges})
+    compiler = _Compiler(pi, to_nnf(f), fixpoints=True)
+    compiler.compile(0, ())
+    compiler.drain()
+    assert sorted(var for var in compiler.equations if var.startswith("R")) == ["R(a)", "R(b)"]
+    assert poslfp_eval_direct(pi, f) == game_eval(pi, f) == INF
+    natpoly = get_semiring("natpoly")
+    pi = KInterpretation(natpoly, ("a", "b"), {"E": 2},
+                         {("E", e, True): natpoly.token("p") for e in edges})
+    with pytest.raises(NoConvergence, match=r"^no least fixed point: 'R\(b\)' is nonzero"):
+        poslfp_eval_direct(pi, f)
 
 
 # --- interpretations -------------------------------------------------------
