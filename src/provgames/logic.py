@@ -15,7 +15,8 @@ tests' `_reference_mc_game` and `_reference_direct`, and `model_check`.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 from operator import itemgetter
 
 from .errors import (
@@ -84,31 +85,53 @@ class Fp:
     args: tuple
 
 
-def free_variables(formula, bound=frozenset()):
-    if isinstance(formula, Atom):
-        return {a for a in formula.args if a not in bound}
-    if isinstance(formula, Eq):
-        return {a for a in (formula.left, formula.right) if a not in bound}
-    if isinstance(formula, Not):
-        return free_variables(formula.sub, bound)
-    if isinstance(formula, (And, Or)):
-        return free_variables(formula.left, bound) | free_variables(formula.right, bound)
-    if isinstance(formula, Quant):
-        return free_variables(formula.sub, bound | {formula.var})
-    if isinstance(formula, Fp):
-        inner = free_variables(formula.body, bound | set(formula.params))
-        return inner | {a for a in formula.args if a not in bound}
-    raise ProvError(f"unknown formula node {formula!r}")
+def free_variables(formula):
+    """Terms no quantifier or fixed point binds: free variables and constants."""
+    return _free_sets(formula)[id(formula)]
+
+
+def _free_sets(formula):
+    """`free_variables` of every subformula by `id` (node `==` and `hash`
+    recurse): list the subformulas in preorder, fill their sets in reverse."""
+    order, todo = [], [formula]
+    while todo:
+        f = todo.pop()
+        order.append(f)
+        t = type(f)
+        if t is And or t is Or:
+            todo += (f.right, f.left)
+        elif t is Quant or t is Not:
+            todo.append(f.sub)
+        elif t is Fp:
+            todo.append(f.body)
+    free = {}
+    for f in reversed(order):
+        t = type(f)
+        if t is Atom:
+            free[id(f)] = set(f.args)
+        elif t is And or t is Or:
+            free[id(f)] = free[id(f.left)] | free[id(f.right)]
+        elif t is Quant:
+            free[id(f)] = free[id(f.sub)] - {f.var}
+        elif t is Eq:
+            free[id(f)] = {f.left, f.right}
+        elif t is Not:
+            free[id(f)] = free[id(f.sub)]
+        elif t is Fp:
+            free[id(f)] = free[id(f.body)] - set(f.params) | set(f.args)
+        else:
+            raise ProvError(f"unknown formula node {f!r}")
+    return free
 
 
 # --- parser -----------------------------------------------------------------
 
 
 #: Deepest formula nesting the parser accepts.  Every parenthesis, negation,
-#: quantifier, fixed point and binary connective adds a level.  The parser,
-#: `to_nnf`, `free_variables`, `build_mc_game` and the evaluators recurse once
-#: or a few times per level, and at this depth stay well inside Python's
-#: default recursion limit.
+#: quantifier, fixed point and binary connective adds a level.  Only the
+#: parser (and the `model_check` oracle) recurses per level; the other walks
+#: keep explicit stacks.  The limit stays so that a deeper text is a syntax
+#: error (exit 2, pinned by `test_formula_depth_limit`), not a RecursionError.
 MAX_FORMULA_DEPTH = 100
 
 
@@ -116,12 +139,16 @@ class _FormulaParser:
     """Recursive-descent parser; `!` binds tighter than `&` than `|`, and a
     quantifier or fixed-point body extends as far right as possible.
 
-    Each parsing method returns the formula with its nesting depth."""
+    Each parsing method returns the formula with its nesting depth.  Every
+    relation symbol must be used with one arity throughout: `uses` lists
+    each (symbol, arity) as it is read, and the first clash with an earlier
+    use raises once the text has parsed."""
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
         self.open = 0  # nesting levels entered and not yet left
+        self.uses = []
 
     def error(self, message):
         raise FormulaSyntaxError(message, self.pos)
@@ -176,6 +203,10 @@ class _FormulaParser:
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
+        arities = {}
+        for rel, arity in self.uses:
+            if arities.setdefault(rel, arity) != arity:
+                raise ArityError(f"relation {rel} used with arities {arities[rel]} and {arity}")
         return f
 
     def disjunction(self):
@@ -230,6 +261,7 @@ class _FormulaParser:
         kind = "lfp" if self.text[self.pos - 3] == "l" else "gfp"
         rel = self.ident()
         params = self.term_list()
+        self.uses.append((rel, len(params)))
         self.expect(".")
         body, depth = self.nested(self.disjunction)
         self.expect("]")
@@ -253,6 +285,7 @@ class _FormulaParser:
         left = self.ident()
         if self.peek() == "(":
             args = self.term_list()
+            self.uses.append((left, len(args)))
             return Atom(left, args)
         if self.eat("!="):
             return Eq(left, self.ident(), negated=True)
@@ -262,114 +295,50 @@ class _FormulaParser:
 
 
 def parse_formula(text):
-    """Parse the text grammar into an AST and check arity consistency."""
-    formula = _FormulaParser(text).parse()
-    check_arities(formula)
-    return formula
-
-
-def check_arities(formula, arities=None):
-    """Every relation symbol must be used with one arity throughout."""
-    arities = arities if arities is not None else {}
-
-    def walk(f):
-        if isinstance(f, Atom):
-            known = arities.setdefault(f.rel, len(f.args))
-            if known != len(f.args):
-                raise ArityError(
-                    f"relation {f.rel} used with arities {known} and {len(f.args)}"
-                )
-        elif isinstance(f, Eq):
-            pass
-        elif isinstance(f, Not):
-            walk(f.sub)
-        elif isinstance(f, (And, Or)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Quant):
-            walk(f.sub)
-        elif isinstance(f, Fp):
-            known = arities.setdefault(f.rel, len(f.params))
-            if known != len(f.params):
-                raise ArityError(
-                    f"relation {f.rel} used with arities {known} and {len(f.params)}"
-                )
-            walk(f.body)
-
-    walk(formula)
-    return arities
+    """Parse the text grammar into an AST, checking arity consistency."""
+    return _FormulaParser(text).parse()
 
 
 # --- negation normal form ---------------------------------------------------
 
 
 def to_nnf(formula, negate=False):
-    """Push negation down to atoms; fixed points flip via lfp/gfp duality."""
-    return _nnf(formula, negate, frozenset())
+    """Push negation down to atoms; fixed points flip via lfp/gfp duality.
 
-
-def _nnf(formula, negate, flipped):
-    """`to_nnf` with the atoms of the relation symbols in `flipped` negated
-    as well: the symbols of the fixed points above that were negated and not
-    shadowed since, as not [lfp R. phi] = [gfp R. not phi[R := not R]]."""
-    if isinstance(formula, Atom):
-        if negate != (formula.rel in flipped):
-            return Atom(formula.rel, formula.args, not formula.negated)
-        return formula
-    if isinstance(formula, Eq):
-        if negate:
-            return Eq(formula.left, formula.right, not formula.negated)
-        return formula
-    if isinstance(formula, Not):
-        return _nnf(formula.sub, not negate, flipped)
-    if isinstance(formula, And):
-        left = _nnf(formula.left, negate, flipped)
-        right = _nnf(formula.right, negate, flipped)
-        return Or(left, right) if negate else And(left, right)
-    if isinstance(formula, Or):
-        left = _nnf(formula.left, negate, flipped)
-        right = _nnf(formula.right, negate, flipped)
-        return And(left, right) if negate else Or(left, right)
-    if isinstance(formula, Quant):
-        sub = _nnf(formula.sub, negate, flipped)
-        if negate:
-            kind = "forall" if formula.kind == "exists" else "exists"
-            return Quant(kind, formula.var, sub)
-        return Quant(formula.kind, formula.var, sub)
-    if isinstance(formula, Fp):
-        # The binder shadows an outer one of the same symbol: its atoms flip
-        # in the body exactly when this fixed point is negated.
-        kind, rel = formula.kind, formula.rel
-        if negate:
-            kind = "gfp" if kind == "lfp" else "lfp"
-        flipped = flipped | {rel} if negate else flipped - {rel}
-        return Fp(kind, rel, formula.params, _nnf(formula.body, negate, flipped), formula.args)
-    raise ProvError(f"unknown formula node {formula!r}")
-
-
-def check_poslfp(formula):
-    """Reject gfp operators and non-positive bound-relation occurrences."""
-    def walk(f, bound_rels):
+    A subformula is converted with whether it is negated and `flipped`, the
+    symbols of the fixed points above it that were negated and not shadowed
+    since, whose atoms flip too: not [lfp R. phi] = [gfp R. not phi[R := not
+    R]].  Below a node's children, (constructor, n) rebuilds it from them."""
+    done, todo = [], [(formula, negate, frozenset())]
+    while todo:
+        entry = todo.pop()
+        if len(entry) == 2:
+            make, n = entry
+            done[-n:] = [make(*done[-n:])]
+            continue
+        f, negate, flipped = entry
         if isinstance(f, Atom):
-            if f.negated and f.rel in bound_rels:
-                raise NotPosLFP(
-                    f"fixed-point relation {f.rel} occurs negatively"
-                )
+            done.append(Atom(f.rel, f.args, not f.negated) if negate != (f.rel in flipped) else f)
         elif isinstance(f, Eq):
-            pass
+            done.append(Eq(f.left, f.right, not f.negated) if negate else f)
         elif isinstance(f, Not):
-            raise NotNNF("positivity check expects negation normal form")
+            todo.append((f.sub, not negate, flipped))
         elif isinstance(f, (And, Or)):
-            walk(f.left, bound_rels)
-            walk(f.right, bound_rels)
+            make = And if isinstance(f, And) != negate else Or
+            todo += ((make, 2), (f.right, negate, flipped), (f.left, negate, flipped))
         elif isinstance(f, Quant):
-            walk(f.sub, bound_rels)
+            kind = ("forall" if f.kind == "exists" else "exists") if negate else f.kind
+            todo += ((partial(Quant, kind, f.var), 1), (f.sub, negate, flipped))
+        elif isinstance(f, Fp):
+            # The binder shadows an outer one of the same symbol: its atoms
+            # flip in the body exactly when this fixed point is negated.
+            kind = ("gfp" if f.kind == "lfp" else "lfp") if negate else f.kind
+            flipped = flipped | {f.rel} if negate else flipped - {f.rel}
+            todo += ((partial(Fp, kind, f.rel, f.params, args=f.args), 1),
+                     (f.body, negate, flipped))
         else:
-            if f.kind != "lfp":
-                raise NotPosLFP("greatest fixed points are outside the fragment")
-            walk(f.body, bound_rels | {f.rel})
-
-    walk(formula, frozenset())
+            raise ProvError(f"unknown formula node {f!r}")
+    return done[0]
 
 
 # --- interpretations --------------------------------------------------------
@@ -426,10 +395,7 @@ class KInterpretation:
 
 
 def _tuples(universe, arity):
-    if arity == 0:
-        return [()]
-    shorter = _tuples(universe, arity - 1)
-    return [t + (a,) for t in shorter for a in universe]
+    return list(product(universe, repeat=arity))
 
 
 def is_model_defining(pi):
@@ -519,6 +485,11 @@ class _Compiler:
     those of a product multiply the coefficient of its first term, and a
     zero one makes the product 0.
 
+    Each key is compiled once, as `build_mc_game` builds each position once,
+    by a depth-first search with a stack of frames (key, operator, iterator
+    over the successors' keys, their right-hand sides so far).  Only keys of
+    a `shared` occurrence can be reached twice: `compiled` keeps those.
+
     Every lfp occurrence is one relation instance, named on first use, with
     one variable `R(a,b)` per tuple the sentence reaches, the value of an
     unfolding position; nested fixed points join the same system (Bekic).
@@ -535,25 +506,48 @@ class _Compiler:
         self.occurrences = _game_plan(formula, pi.universe)
         self.fixpoints = fixpoints
         self.equations = {}
+        self.compiled = {}  # (occurrence index, values) -> right-hand side
         self.instances = {}  # body occurrence -> its relation instance name
         self.reached = set()  # tuple variables referenced so far
         self.pending = []  # (variable, body occurrence, args) not compiled yet
 
     def compile(self, i, values):
-        occ = self.occurrences[i]
-        kind = occ.kind
-        if kind == "unfold" and not self.fixpoints:
-            raise NotPosLFP("fo_eval handles first-order sentences only")
-        step = occ.step(values, self.pi.universe)
-        if kind == "branch" or kind == "quant":
-            parts = [self.compile(child, child_values) for child, child_values in step]
-            return self.combine("sum" if occ.owner == 0 else "prod", parts)
-        if kind == "unfold":
-            return "sum", [(self.handle.one, self.tuple_var(occ, step))]
-        if kind == "literal":
-            rel, positive = occ.literal
-            return "const", self.pi.literal(rel, step, positive)
-        return "const", self.pi.equality(step[0], step[1], occ.literal)
+        pi, occurrences, compiled = self.pi, self.occurrences, self.compiled
+        # The current frame; its parents wait on the stack, and the bottom
+        # frame only collects the right-hand side of (i, values).
+        key, op, successors, parts = None, None, iter(((i, values),)), []
+        stack = []
+        while True:
+            for child in successors:
+                occ = occurrences[child[0]]
+                rhs = compiled.get(child) if occ.shared else None
+                if rhs is None:
+                    kind = occ.kind
+                    if kind == "unfold" and not self.fixpoints:
+                        raise NotPosLFP("fo_eval handles first-order sentences only")
+                    step = occ.step(child[1], pi.universe)
+                    if kind == "branch" or kind == "quant":
+                        stack.append((key, op, successors, parts))
+                        key = child if occ.shared else None
+                        op, successors, parts = "sum" if occ.owner == 0 else "prod", iter(step), []
+                        break
+                    if kind == "unfold":
+                        rhs = "sum", [(self.handle.one, self.tuple_var(occ, step))]
+                    elif kind == "literal":
+                        rhs = "const", pi.literal(occ.literal[0], step, occ.literal[1])
+                    else:
+                        rhs = "const", pi.equality(step[0], step[1], occ.literal)
+                    if occ.shared:
+                        compiled[child] = rhs
+                parts.append(rhs)
+            else:
+                if not stack:
+                    return parts[0]
+                rhs = self.combine(op, parts)
+                if key is not None:
+                    compiled[key] = rhs
+                key, op, successors, parts = stack.pop()
+                parts.append(rhs)
 
     def combine(self, op, parts):
         handle = self.handle
@@ -679,11 +673,13 @@ class _Occurrence:
     Arguments resolve by `pick` from the position's values followed by
     `constants`; an unfolding picks one argument per distinct parameter,
     the last one bound to it.  `error` is the (exception class, message)
-    the occurrence raises when a game reaches it.
+    the occurrence raises when a game reaches it.  `shared` says that the
+    move into it forgets a variable, so that two positions can have one
+    successor here (a fixed-point body may be marked needlessly).
     """
 
     __slots__ = ("path", "variables", "kind", "owner", "children", "child", "pick",
-                 "constants", "literal", "rel", "error")
+                 "constants", "literal", "rel", "error", "shared")
 
     def __init__(self, path, variables):
         self.path = path
@@ -737,12 +733,21 @@ def _game_plan(formula, universe):
     unfolded by the innermost fixed point around it that binds its symbol.
     A negation raises at once, any other fault at the positions it is in."""
     members = set(universe)
+    free = _free_sets(formula)
     occurrences = []
-
-    def plan(f, path, variables, binders):
+    # (subformula, path, variables, binders, parent occurrence, its picker)
+    todo = [(formula, (), (), {}, None, None)]
+    while todo:
+        f, path, variables, binders, parent, pick = todo.pop()
         number = len(occurrences)
         occ = _Occurrence(path, variables)
         occurrences.append(occ)
+        occ.shared = parent is not None and (
+            len(variables) < len(parent.variables) + (parent.kind == "quant"))
+        if parent is not None and parent.kind == "branch":
+            parent.children.append((number, pick))
+        elif parent is not None:
+            parent.child = number
         if isinstance(f, Atom) and f.rel in binders:
             occ.kind, occ.owner = "unfold", 0
             occ.child, params = binders[f.rel]
@@ -757,24 +762,22 @@ def _game_plan(formula, universe):
             occ.pick = _picker(occ.resolve((f.left, f.right), members))
         elif isinstance(f, (And, Or)):
             occ.kind, occ.owner = "branch", 0 if isinstance(f, Or) else 1
-            children = []
-            for i, sub in enumerate((f.left, f.right)):
-                keep = free_variables(sub)
+            occ.children = []
+            for i, sub in ((1, f.right), (0, f.left)):
+                keep = free[id(sub)]
                 sub_variables = tuple(v for v in variables if v in keep)
                 pick = (None if sub_variables == variables
                         else _picker(map(variables.index, sub_variables)))
-                children.append((plan(sub, path + (i,), sub_variables, binders), pick))
-            occ.children = tuple(children)
+                todo.append((sub, path + (i,), sub_variables, binders, occ, pick))
         elif isinstance(f, Quant):
             occ.kind, occ.owner = "quant", 0 if f.kind == "exists" else 1
-            keep = free_variables(f.sub)
             # The outer entries the body can see, without the one it shadows.
             # The bound variable stays even when the body ignores it:
             # collapsing the children would merge moves the owner can choose
             # between, undercounting in non-idempotent semirings.
-            outer = tuple(v for v in variables if v in keep and v != f.var)
+            outer = tuple(v for v in variables if v in free[id(f)])
             occ.pick = _picker(map(variables.index, outer))
-            occ.child = plan(f.sub, path + (0,), outer + (f.var,), binders)
+            todo.append((f.sub, path + (0,), outer + (f.var,), binders, occ, None))
         elif isinstance(f, Fp):
             occ.kind, occ.owner, occ.rel = "unfold", 0, f.rel
             if f.kind != "lfp":
@@ -782,15 +785,12 @@ def _game_plan(formula, universe):
             binding = dict(zip(f.params, occ.resolve(f.args, members)))
             occ.pick = _picker(binding.values())
             # The body is planned next, so its index is the next one.
-            body_binders = {**binders, f.rel: (len(occurrences), f.params)}
-            occ.child = plan(f.body, path + (0,), tuple(binding), body_binders)
+            body_binders = {**binders, f.rel: (number + 1, f.params)}
+            todo.append((f.body, path + (0,), tuple(binding), body_binders, occ, None))
         elif isinstance(f, Not):
             raise NotNNF("model-checking games require negation normal form")
         else:
             occ.error = (ProvError, f"unknown formula node {f!r}")
-        return number
-
-    plan(formula, (), (), {})
     return occurrences
 
 
@@ -856,8 +856,7 @@ def build_mc_game(universe, formula):
 
 def game_eval(pi, sentence, player=0):
     """Value of the model-checking game at the root, for either player."""
-    nnf = to_nnf(sentence)
-    mc = build_mc_game(pi.universe, nnf)
+    mc = build_mc_game(pi.universe, to_nnf(sentence))
     basic = mc.basic_valuation(pi, player)
     if mc.game.is_acyclic():
         return acyclic_valuation(mc.game, basic)[mc.root]
@@ -865,7 +864,6 @@ def game_eval(pi, sentence, player=0):
         raise NotPosLFP(
             "falsifier valuations of fixed-point games are outside the fragment"
         )
-    check_poslfp(nnf)
     system = build_system(mc.game, basic)
     try:
         return kleene_lfp(system)[mc.root]
@@ -893,9 +891,10 @@ def poslfp_eval_direct(pi, sentence):
     never reaches is not solved, so it raises no `NoConvergence`, as in game
     mode, whose unfolding positions are exactly the reached tuples.
     """
-    nnf = to_nnf(sentence)
-    check_poslfp(nnf)
-    compiler = _Compiler(pi, nnf, fixpoints=True)
+    compiler = _Compiler(pi, to_nnf(sentence), fixpoints=True)
+    for cls, message in (occ.error for occ in compiler.occurrences if occ.error):
+        if cls is NotPosLFP:  # outside the fragment: raised first, in preorder
+            raise cls(message)
     rhs = compiler.compile(0, ())
     compiler.drain()
     if rhs[0] == "const":

@@ -10,6 +10,7 @@ from provgames.errors import (
     FormulaSyntaxError,
     NoConvergence,
     NotModelDefining,
+    NotNNF,
     NotPosLFP,
     NotSentence,
     ProvError,
@@ -31,7 +32,6 @@ from provgames.logic import (
     _resolve,
     _tuples,
     build_mc_game,
-    check_poslfp,
     fo_eval,
     free_variables,
     game_eval,
@@ -83,6 +83,118 @@ def test_parse_arity_error():
         parse_formula("[lfp R(x). P(x)](a,b)")
 
 
+def _reference_check_arities(formula, arities=None):
+    """The arity check as it was before the parser made it: a walk of the
+    parsed tree in preorder, raising the first clash."""
+    arities = arities if arities is not None else {}
+
+    def walk(f):
+        if isinstance(f, Atom):
+            known = arities.setdefault(f.rel, len(f.args))
+            if known != len(f.args):
+                raise ArityError(
+                    f"relation {f.rel} used with arities {known} and {len(f.args)}"
+                )
+        elif isinstance(f, Eq):
+            pass
+        elif isinstance(f, Not):
+            walk(f.sub)
+        elif isinstance(f, (And, Or)):
+            walk(f.left)
+            walk(f.right)
+        elif isinstance(f, Quant):
+            walk(f.sub)
+        elif isinstance(f, Fp):
+            known = arities.setdefault(f.rel, len(f.params))
+            if known != len(f.params):
+                raise ArityError(
+                    f"relation {f.rel} used with arities {known} and {len(f.params)}"
+                )
+            walk(f.body)
+
+    walk(formula)
+    return arities
+
+
+class _Discard(list):
+    def append(self, item):
+        pass
+
+
+class _ParserWithoutArities(logic._FormulaParser):
+    """The parser with no uses of relation symbols to check."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.uses = _Discard()
+
+
+def _reference_parse(text):
+    """Parse without the parser's arity check, then walk the tree."""
+    formula = _ParserWithoutArities(text).parse()
+    _reference_check_arities(formula)
+    return formula
+
+
+def _text(f):
+    """Formula f in the text grammar, every composite part in parentheses."""
+    if isinstance(f, Atom):
+        return f"{'!' if f.negated else ''}{f.rel}({','.join(f.args)})"
+    if isinstance(f, Eq):
+        return f"{f.left} {'!=' if f.negated else '='} {f.right}"
+    if isinstance(f, Not):
+        return f"!({_text(f.sub)})"
+    if isinstance(f, (And, Or)):
+        return f"({_text(f.left)} {'&' if isinstance(f, And) else '|'} {_text(f.right)})"
+    if isinstance(f, Quant):
+        return f"({f.kind} {f.var}. {_text(f.sub)})"
+    return (f"[{f.kind} {f.rel}({','.join(f.params)}). {_text(f.body)}]"
+            f"({','.join(f.args)})")
+
+
+def _with_arity_clashes(rng, f):
+    """f with about a third of its atoms given one argument more or fewer."""
+    if isinstance(f, Atom) and rng.random() < 0.3:
+        longer = len(f.args) == 1 or rng.random() < 0.5
+        return Atom(f.rel, f.args + ("a",) if longer else f.args[:-1], f.negated)
+    if isinstance(f, (And, Or)):
+        return type(f)(_with_arity_clashes(rng, f.left), _with_arity_clashes(rng, f.right))
+    if isinstance(f, Not):
+        return Not(_with_arity_clashes(rng, f.sub))
+    if isinstance(f, Quant):
+        return Quant(f.kind, f.var, _with_arity_clashes(rng, f.sub))
+    if isinstance(f, Fp):
+        return Fp(f.kind, f.rel, f.params, _with_arity_clashes(rng, f.body), f.args)
+    return f
+
+
+def _parse_outcome(parse, text):
+    """The parsed formula, or the type and message of the ProvError raised."""
+    try:
+        return parse(text)
+    except ProvError as exc:
+        return type(exc), str(exc)
+
+
+def test_parser_raises_the_first_arity_clash_after_the_parse():
+    rng = make_rng(salt=63)
+    universe = ("a", "b")
+    clashes = 0
+    for _ in range(300):
+        f = rng.choice((random_fo_formula(rng, universe, depth=4),
+                        random_poslfp_formula(rng, universe)))
+        text = _text(_with_arity_clashes(rng, f))
+        variants = (text, text + " & (E(a,a) |", text + " | E(a))")
+        outcomes = [_parse_outcome(_reference_parse, variant) for variant in variants]
+        for variant, expected in zip(variants, outcomes):
+            assert _parse_outcome(parse_formula, variant) == expected, variant
+        if isinstance(outcomes[0], tuple) and outcomes[0][0] is ArityError:
+            # A syntax error after the clash wins.
+            clashes += 1
+            assert outcomes[1][0] is outcomes[2][0] is FormulaSyntaxError
+    assert clashes >= 100
+
+
 def test_parse_syntax_error_has_position():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula("E(x,y) | | R(x)")
@@ -115,10 +227,36 @@ def test_nnf_lfp_duality_then_rejection():
     assert isinstance(f, Fp) and f.kind == "gfp"
     # The bound relation occurrences are also negated in the dual body.
     with pytest.raises(NotPosLFP):
-        check_poslfp(f)
+        _reference_check_poslfp(f)
     pi = KInterpretation(BOOL, ("a", "b"), {"E": 2}, {})
-    with pytest.raises(NotPosLFP):
-        game_eval(pi, Not(parse_formula(f"{TC}(a,b)")))
+    for evaluate in (game_eval, poslfp_eval_direct):
+        with pytest.raises(NotPosLFP):
+            evaluate(pi, Not(parse_formula(f"{TC}(a,b)")))
+
+
+def _reference_check_poslfp(formula):
+    """The fragment check as it was before the formula plan made it: reject
+    gfp operators and negative bound-relation occurrences, first in
+    preorder."""
+    def walk(f, bound_rels):
+        if isinstance(f, Atom):
+            if f.negated and f.rel in bound_rels:
+                raise NotPosLFP(f"fixed-point relation {f.rel} occurs negatively")
+        elif isinstance(f, Eq):
+            pass
+        elif isinstance(f, Not):
+            raise NotNNF("positivity check expects negation normal form")
+        elif isinstance(f, (And, Or)):
+            walk(f.left, bound_rels)
+            walk(f.right, bound_rels)
+        elif isinstance(f, Quant):
+            walk(f.sub, bound_rels)
+        else:
+            if f.kind != "lfp":
+                raise NotPosLFP("greatest fixed points are outside the fragment")
+            walk(f.body, bound_rels | {f.rel})
+
+    walk(formula, frozenset())
 
 
 def test_nnf_idempotent_on_random_formulas():
@@ -532,7 +670,7 @@ def _reference_direct(pi, sentence):
     first, and then saturated."""
     handle = pi.handle
     nnf = to_nnf(sentence)
-    check_poslfp(nnf)
+    _reference_check_poslfp(nnf)
 
     def ev(f, env, rel_env):
         if isinstance(f, Atom):
@@ -747,6 +885,25 @@ def _compiled(compiler, compile_root):
     return rhs, list(compiler.equations.items())
 
 
+def _expanded(compiler, compile_root):
+    """`_compiled` with every auxiliary variable `#k` replaced by its
+    right-hand side, and only the other equations listed: the system up to
+    the naming and sharing of auxiliary variables."""
+    outcome = _compiled(compiler, compile_root)
+    if isinstance(outcome[0], type):
+        return outcome
+    equations = compiler.equations
+
+    def expand(rhs):
+        if rhs[0] == "const":
+            return rhs
+        return rhs[0], [(c, expand(equations[v]) if v.startswith("#") else v)
+                        for c, v in rhs[1]]
+
+    return expand(outcome[0]), [(v, expand(rhs)) for v, rhs in outcome[1]
+                                if not v.startswith("#")]
+
+
 # Sentences the random corpora do not produce: a fixed-point body reading an
 # outer variable, a free variable, one symbol bound by three fixed points.
 COMPILER_EXTRAS = [
@@ -777,15 +934,138 @@ def test_compiler_matches_the_environment_walk(selector):
         for fixpoints in (False, True):
             if fixpoints:
                 try:
-                    check_poslfp(nnf)  # as `poslfp_eval_direct` does first
+                    _reference_check_poslfp(nnf)  # as `poslfp_eval_direct` does first
                 except ProvError:
                     continue
             new = _Compiler(pi, nnf, fixpoints)
             old = _EnvCompiler(pi, fixpoints)
-            expected = _compiled(old, lambda: old.compile(nnf, {}, {}))
-            assert _compiled(new, lambda: new.compile(0, ())) == expected, f
+            # Compiling each key once shares what the walk compiled again
+            # per path: with fixed points, each path's reference to a shared
+            # key gets an auxiliary variable of its own, as in the walk, but
+            # the auxiliary variables inside the key are made only once.
+            outcome = _expanded if fixpoints else _compiled
+            expected = outcome(old, lambda: old.compile(nnf, {}, {}))
+            assert outcome(new, lambda: new.compile(0, ())) == expected, f
             count += 1
     assert count >= 300
+
+
+class _CountingInterpretation(KInterpretation):
+    """Counts the literals looked up."""
+
+    lookups = 0
+
+    def literal(self, rel, args, positive=True):
+        self.lookups += 1
+        return super().literal(rel, args, positive)
+
+
+class _CountingCompiler(_Compiler):
+    """Counts the branch and quantifier keys combined."""
+
+    combined = 0
+
+    def combine(self, op, parts):
+        self.combined += 1
+        return super().combine(op, parts)
+
+
+def test_each_key_is_compiled_once():
+    # 3 739 keys, the game's positions: 588 literals and 3 151 branches and
+    # quantifiers.  Compiling once per path made 8 835 compile calls, with
+    # 5 684 literal lookups.
+    f = parse_formula("forall x. forall y. (!E(x,y) | exists z. (E(y,z) & !E(z,x)))")
+    universe = tuple(f"u{i}" for i in range(14))
+    rng = make_rng(salt=64)
+    edges = {("E", (u, w), True): 1 for u in universe for w in rng.sample(universe, 2)}
+    pi = _CountingInterpretation(BOOL, universe, {"E": 2}, edges, model_default=True)
+    compiler = _CountingCompiler(pi, to_nnf(f), fixpoints=False)
+    value = compiler.compile(0, ())[1]
+    mc = build_mc_game(universe, to_nnf(f))
+    assert pi.lookups == len(mc.terminal_literals) == 588
+    assert compiler.combined + pi.lookups == len(mc.game.owners) == 3739
+    assert value == game_eval(pi, f) == model_check(induced_structure(pi), f)
+
+
+def _quantifier_chain(depth):
+    """exists x1. ... exists x<depth>. E(x<depth>,x<depth>)"""
+    f = Atom("E", (f"x{depth}", f"x{depth}"))
+    for i in range(depth, 0, -1):
+        f = Quant("exists", f"x{i}", f)
+    return f
+
+
+def test_a_quantifier_chain_takes_linear_time_in_every_mode():
+    natinf = get_semiring("natinf")
+    pi = _CountingInterpretation(natinf, ("a", "b"), {"E": 2},
+                                 {("E", ("a", "a"), True): 1, ("E", ("b", "b"), True): 1})
+    f = parse_formula("".join(f"exists x{i}. " for i in range(1, 23)) + "E(x22,x22)")
+    start = time.perf_counter()
+    for evaluate in (game_eval, fo_eval, poslfp_eval_direct):
+        pi.lookups = 0
+        assert evaluate(pi, f) == 2 ** 22 == 4194304
+        # Each level has two keys, one per value of its variable, whatever
+        # the paths to them; once per path would be 2**22 lookups.
+        assert pi.lookups == 2
+    assert time.perf_counter() - start < 5.0
+
+
+def test_formulas_built_in_python_nest_to_any_depth():
+    # Only the parser recurses per level; check values only, as the
+    # dataclasses' ==, hash and repr recurse too.
+    depth = 1500
+    pi = KInterpretation(BOOL, ("a", "b"), {"E": 2}, {("E", ("a", "a"), True): 1})
+    negations = Atom("E", ("a", "b"))
+    for _ in range(depth):
+        negations = Not(And(Atom("E", ("a", "a")), negations))
+    # E(a,a) holds, so each level negates the one below: an even number
+    # of them leaves E(a,b), false; negative literals are 0 here as well.
+    assert isinstance(to_nnf(negations), Or)
+    assert free_variables(negations) == {"a", "b"}
+    for evaluate in (fo_eval, game_eval, poslfp_eval_direct):
+        assert evaluate(pi, negations) == 0
+
+    natinf = get_semiring("natinf")
+    pi = KInterpretation(natinf, ("a", "b"), {"E": 2}, {("E", ("a", "a"), True): 1})
+    chain = _quantifier_chain(depth)
+    assert free_variables(chain) == set()
+    for evaluate in (fo_eval, game_eval, poslfp_eval_direct):
+        assert evaluate(pi, chain) == 2 ** (depth - 1)
+
+    # [lfp R1(x). E(x,x) | [lfp R2(x). R1(x) | ... ](x)](a): R1(a) holds
+    # through E(a,a), and each inner relation through the one around it.
+    pi = KInterpretation(natinf, ("a", "b"), {"E": 2}, {("E", ("a", "a"), True): 1})
+    body = Atom(f"R{depth}", ("x",))
+    for i in range(depth, 0, -1):
+        inner = Or(Atom(f"R{i - 1}" if i > 1 else "E", ("x",) if i > 1 else ("x", "x")), body)
+        body = Fp("lfp", f"R{i}", ("x",), inner, ("x",))
+    fixpoints = Fp(body.kind, body.rel, body.params, body.body, ("a",))
+    assert free_variables(fixpoints) == {"a"}
+    assert game_eval(pi, fixpoints) == poslfp_eval_direct(pi, fixpoints) == INF
+
+
+def test_direct_mode_raises_the_first_fragment_fault_in_preorder():
+    pi = KInterpretation(BOOL, ("a", "b"), {"E": 2, "P": 1}, {})
+    f = parse_formula("[lfp R(x). P(c) | R(x)](a) & [gfp S(y). S(y)](b)")
+    with pytest.raises(NotPosLFP, match="^greatest fixed points are outside the fragment$"):
+        poslfp_eval_direct(pi, f)
+    with pytest.raises(NotSentence, match="'c'"):
+        game_eval(pi, f)
+    rng = make_rng(salt=65)
+    universe = ("a", "b")
+    faults = 0
+    for _ in range(400):
+        f = _under_fixed_points(rng, rng.choice((random_fo_formula(rng, universe, depth=3),
+                                                 random_poslfp_formula(rng, universe))))
+        pi = random_interpretation(rng, BOOL, universe, rels={**RELS, "F": 1})
+        try:
+            _reference_check_poslfp(to_nnf(f))
+        except NotPosLFP as exc:
+            faults += 1
+            with pytest.raises(NotPosLFP) as raised:
+                poslfp_eval_direct(pi, f)
+            assert str(raised.value) == str(exc)
+    assert faults >= 200
 
 
 def test_a_repeated_parameter_gets_one_tuple_per_distinct_binding():
