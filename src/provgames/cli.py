@@ -24,7 +24,6 @@ from .games import (
     acyclic_valuation,
     check_separating,
     enumerate_strategies,
-    enumerate_truncated_strategies,
     strategy_value,
     validate_game,
 )
@@ -103,7 +102,8 @@ def build_parser():
     p.add_argument("--from", dest="root", required=True)
     p.add_argument("--player", type=int, choices=(0, 1), default=0)
     p.add_argument("--depth", type=int, default=None,
-                   help="truncation depth for cyclic games")
+                   help="keep plays of fewer moves (default on cyclic games: "
+                        "the number of positions)")
     _add_common(p)
 
     return parser
@@ -265,16 +265,11 @@ def cmd_census(args):
     basic = gf.basic_valuation(handle, args.player)
     if args.root not in game.owners:
         raise ProvError(f"unknown position {args.root!r}")
-    if game.is_acyclic() and args.depth is None:
-        strategies = enumerate_strategies(game, args.player, args.root)
-        mode = "acyclic"
-    else:
-        depth = args.depth or len(game.owners)
-        strategies, _, _ = enumerate_truncated_strategies(
-            game, basic, args.player, args.root, depth
-        )
-        mode = "mu"
-    texts = _format([strategy_value(s, game, basic, mode) for s in strategies], handle, args)
+    depth = args.depth or len(game.owners)
+    if args.depth is None and game.is_acyclic():
+        depth = None
+    strategies = enumerate_strategies(game, args.player, args.root, depth=depth)
+    texts = _format([strategy_value(s, game, basic, "mu") for s in strategies], handle, args)
     entries = sorted(zip(texts, strategies), key=lambda e: e[0])
     flags = absorption_dominant_flags([s for _, s in entries], game)
     lines = [f"strategies: {len(entries)}"]

@@ -32,18 +32,17 @@ _OWNERS = {"player0": 0, "player1": 1, "terminal": TERMINAL}
 
 
 class GameFile:
-    def __init__(self, owners, moves, values, move_values):
-        self.owners = owners
-        self.moves = moves
+    def __init__(self, game, values, move_values):
+        self._graph = game  # its structure checked
         self.values = values  # (player, position) -> raw string
         self.move_values = move_values  # (player, (u, v)) -> raw string
 
     def graph(self):
-        return GameGraph(self.owners, self.moves)
+        return self._graph
 
     def basic_valuation(self, handle, player):
         f = {}
-        for v, owner in self.owners.items():
+        for v, owner in self._graph.owners.items():
             if owner != TERMINAL:
                 continue
             raw = self.values.get((player, v))
@@ -108,11 +107,11 @@ def parse_game_file(text):
     if not owners:
         raise GameFileError("game file declares no positions")
     try:
-        game = GameFile(owners, moves, values, move_values)
-        game.graph().check_structure()
+        game = GameGraph(owners, moves)
+        game.check_structure()
     except ProvError as exc:
         raise GameFileError(str(exc)) from None
-    return game
+    return GameFile(game, values, move_values)
 
 
 class InterpretationFile:

@@ -184,8 +184,10 @@ class Strategy:
     """A strategy recorded by its occurrence counts under the projection.
 
     position_counts covers every position occurring in the subtree (the
-    formula for F(S) only consumes the terminal ones); admits_infinite says
-    whether truncation cut any leaf off (an unfinished play).
+    formula for F(S) only consumes the terminal ones) except the leaves cut
+    off at a depth bound; move_counts includes the moves into those leaves;
+    admits_infinite says whether any leaf was cut (an unfinished play).
+    paths are the subtree's nodes, each a path of positions from the root.
     """
 
     owner: int
@@ -200,28 +202,49 @@ class Strategy:
 
     @classmethod
     def from_paths(cls, owner, root, paths, game):
+        """The strategy whose subtree has the nodes `paths`.
+
+        A leaf at a non-terminal position was cut at the depth bound, so no
+        path is longer; any other node at a non-terminal position has a
+        child, so is shorter.  The cut leaves are thus the longest paths
+        that end at a non-terminal position.
+        """
+        longest = max(map(len, paths))
         position_counts = {}
         move_counts = {}
+        admits_infinite = False
         for path in paths:
-            position_counts[path[-1]] = position_counts.get(path[-1], 0) + 1
+            v = path[-1]
+            if len(path) == longest and not game.is_terminal(v):
+                admits_infinite = True
+            else:
+                position_counts[v] = position_counts.get(v, 0) + 1
             if len(path) > 1:
-                e = (path[-2], path[-1])
+                e = (path[-2], v)
                 move_counts[e] = move_counts.get(e, 0) + 1
         return cls(
             owner=owner,
             root=root,
             position_counts=position_counts,
             move_counts=move_counts,
+            admits_infinite=admits_infinite,
             paths=tuple(sorted(paths)),
         )
 
 
-def enumerate_strategies(game, player, root, max_nodes=100_000):
+def enumerate_strategies(game, player, root, max_nodes=100_000, depth=None):
     """All strategies of `player` from `root`; raises BudgetExceeded.
 
-    Complete for acyclic games; on cyclic games the growing paths blow the
-    budget, which is the documented behavior.
+    With a `depth` n, plays are cut to fewer than n moves: a play that is at
+    a non-terminal position after n - 1 moves ends there in a cut leaf, and
+    the strategies are those of the n-truncation of the game (see
+    `truncate`), with counts of the original positions and moves.  Without
+    one, enumeration is complete for acyclic games; on cyclic games the
+    growing paths blow the budget.  Every node, cut leaves included,
+    counts towards `max_nodes`.
     """
+    if depth is not None and depth < 1:
+        raise ProvError("truncation depth must be >= 1")
     budget = max_nodes
     # A frame [path, successors left, player's choice?, node sets so far]
     # per position being expanded: a choice collects its children's node
@@ -230,14 +253,14 @@ def enumerate_strategies(game, player, root, max_nodes=100_000):
     stack = []
 
     def enter(path):
-        """Count the node; the node sets of a terminal, or None once the
-        frame of a position to expand is pushed."""
+        """Count the node; the node sets of a leaf, or None once the frame
+        of a position to expand is pushed."""
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise BudgetExceeded(f"strategy enumeration exceeded {max_nodes} nodes")
         v = path[-1]
-        if game.is_terminal(v):
+        if game.is_terminal(v) or len(path) == depth:
             return [[path]]
         choice = game.owner(v) == player
         stack.append([path, iter(game.successors(v)), choice, [] if choice else [[path]]])
@@ -394,39 +417,7 @@ def truncate(game, basic, n, boundary="zero"):
     return truncated_game, truncated_basic, cutoffs
 
 
-def enumerate_truncated_strategies(game, basic, player, root, n, max_nodes=100_000):
-    """Strategies of the n-truncation from `root`, with cutoff-leaf flags."""
-    tgame, tbasic, cutoffs = truncate(game, basic, n)
-    raw = enumerate_strategies(tgame, player, (root,), max_nodes)
-    strategies = []
-    for s in raw:
-        # Project path-positions back to original positions for the counts.
-        position_counts = {}
-        move_counts = {}
-        cut = 0
-        for path_pos, c in s.position_counts.items():
-            if path_pos in cutoffs:
-                cut += c
-                continue
-            v = path_pos[-1]
-            position_counts[v] = position_counts.get(v, 0) + c
-        for (p1, p2), c in s.move_counts.items():
-            e = (p1[-1], p2[-1])
-            move_counts[e] = move_counts.get(e, 0) + c
-        strategies.append(
-            Strategy(
-                owner=player,
-                root=root,
-                position_counts=position_counts,
-                move_counts=move_counts,
-                admits_infinite=cut > 0,
-                paths=s.paths,
-            )
-        )
-    return strategies, tgame, tbasic
-
-
-def check_separating(game, basic0, basic1, mode="separating", scope=None):
+def check_separating(game, basic0, basic1, mode="separating"):
     """Per-position separation verdicts for a pair of player valuations."""
     if mode not in ("separating", "weak", "strong"):
         raise ProvError(f"unknown separation mode {mode!r}")
@@ -436,7 +427,7 @@ def check_separating(game, basic0, basic1, mode="separating", scope=None):
     f0 = acyclic_valuation(game, basic0)
     f1 = acyclic_valuation(game, basic1)
     verdicts = {}
-    for v in scope if scope is not None else game.owners:
+    for v in game.owners:
         a, b = f0[v], f1[v]
         separating = a == handle.zero or b == handle.zero
         if mode == "separating":

@@ -302,14 +302,14 @@ def parse_formula(text):
 # --- negation normal form ---------------------------------------------------
 
 
-def to_nnf(formula, negate=False):
+def to_nnf(formula):
     """Push negation down to atoms; fixed points flip via lfp/gfp duality.
 
     A subformula is converted with whether it is negated and `flipped`, the
     symbols of the fixed points above it that were negated and not shadowed
     since, whose atoms flip too: not [lfp R. phi] = [gfp R. not phi[R := not
     R]].  Below a node's children, (constructor, n) rebuilds it from them."""
-    done, todo = [], [(formula, negate, frozenset())]
+    done, todo = [], [(formula, False, frozenset())]
     while todo:
         entry = todo.pop()
         if len(entry) == 2:

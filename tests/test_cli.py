@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from provgames import cli
+from provgames import cli, gamefile
 from provgames.cli import main
 from provgames.gamefile import parse_game_file
 from provgames.games import acyclic_valuation
@@ -316,6 +316,37 @@ def test_census_on_long_chain(capsys, tmp_path):
     else:
         assert (code, err) == (0, "")
         assert out == f"strategies: 1\nstrategy: p{n} [dominant]\n"
+
+
+def test_census_depth_cuts_plays_from_the_root(capsys, tmp_path):
+    # The plays from v outgrow the node budget long before depth 40, and
+    # census reaches it in well under a second.
+    path = tmp_path / "loop.game"
+    path.write_text("position v player0\nposition w player1\nposition t terminal\n"
+                    "move v v\nmove v w\nmove w v\nmove w t\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", str(path), "--from", "v", "--depth", "40")
+    assert (code, out, err) == (3, "", "error: strategy enumeration exceeded 100000 nodes\n")
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("argv", (
+    ("eval-game", REACH, "--fixpoint", "mu", "--semiring", "sorpinf"),
+    ("solve-system", REACH, "--semiring", "sorpinf"),
+    ("check", "game", REACH),
+    ("census", ABSDOM, "--from", "u"),
+))
+def test_each_command_builds_the_game_graph_once(capsys, monkeypatch, argv):
+    built = []
+
+    class CountingGraph(gamefile.GameGraph):
+        def __init__(self, owners, moves):
+            built.append(owners)
+            super().__init__(owners, moves)
+
+    monkeypatch.setattr(gamefile, "GameGraph", CountingGraph)
+    code, _, _ = run(capsys, *argv)
+    assert (code, len(built)) == (0, 1)
 
 
 def test_exit_semantic_on_bad_census_root(capsys):

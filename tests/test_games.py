@@ -1,5 +1,7 @@
 """Games: strategy sums, play products, separation, bisimulation, truncation."""
 
+import re
+
 import pytest
 
 from provgames.errors import BudgetExceeded, CyclicGame, MalformedGame, ProvError
@@ -14,7 +16,6 @@ from provgames.games import (
     acyclic_valuation,
     check_separating,
     enumerate_strategies,
-    enumerate_truncated_strategies,
     play_values,
     strategy_value,
     truncate,
@@ -26,7 +27,13 @@ from provgames.infinity import INF
 from provgames.semirings import get_semiring
 from provgames.solver import solve_game
 
-from genutil import make_rng, random_acyclic_game, random_cyclic_game, token_valuation
+from genutil import (
+    make_rng,
+    random_acyclic_game,
+    random_basic_valuation,
+    random_cyclic_game,
+    token_valuation,
+)
 
 NATPOLY = get_semiring("natpoly")
 
@@ -259,7 +266,7 @@ def test_truncated_strategy_values():
     si = get_semiring("sorpinf")
     g = reach_game()
     basic = token_valuation(g, si)
-    strategies, _, _ = enumerate_truncated_strategies(g, basic, 0, "v", 6)
+    strategies = enumerate_strategies(g, 0, "v", depth=6)
     mus = {si.format_value(strategy_value(s, g, basic, "mu")) for s in strategies}
     assert "s" in mus and "0" in mus
     infinite = [s for s in strategies if s.admits_infinite]
@@ -282,7 +289,7 @@ def test_absorption_dominance_matches_nu_mu_order():
     si = get_semiring("sorpinf")
     g = reach_game()
     basic = token_valuation(g, si)
-    strategies, _, _ = enumerate_truncated_strategies(g, basic, 0, "v", 5)
+    strategies = enumerate_strategies(g, 0, "v", depth=5)
     for s1 in strategies:
         for s2 in strategies:
             dominates = absorption_dominates(s1, s2, g)
@@ -293,6 +300,75 @@ def test_absorption_dominance_matches_nu_mu_order():
             if dominates:
                 assert si.leq(nu2, nu1)
                 assert si.leq(mu2, mu1)
+
+
+def _reference_truncated_strategies(game, basic, player, root, n, max_nodes=100_000):
+    """Reference for enumerate_strategies with depth n: the strategies of
+    the whole n-truncation from (root,), with the counts of its path
+    positions projected back to the original positions."""
+    tgame, _, cutoffs = truncate(game, basic, n)
+    strategies = []
+    for s in enumerate_strategies(tgame, player, (root,), max_nodes):
+        position_counts = {}
+        move_counts = {}
+        cut = 0
+        for path_pos, c in s.position_counts.items():
+            if path_pos in cutoffs:
+                cut += c
+                continue
+            v = path_pos[-1]
+            position_counts[v] = position_counts.get(v, 0) + c
+        for (p1, p2), c in s.move_counts.items():
+            e = (p1[-1], p2[-1])
+            move_counts[e] = move_counts.get(e, 0) + c
+        strategies.append(Strategy(owner=player, root=root, position_counts=position_counts,
+                                   move_counts=move_counts, admits_infinite=cut > 0))
+    return strategies
+
+
+def test_depth_bound_matches_truncate_then_project():
+    rng = make_rng(salt=17)
+    compared = several = cut = exceeded = rejected = 0
+    for _ in range(300):
+        g = random_cyclic_game(rng, max_positions=7, max_out=3) if rng.random() < 0.7 \
+            else random_acyclic_game(rng, max_positions=9)
+        basic = random_basic_valuation(rng, g, NATPOLY)
+        player = rng.randint(0, 1)
+        root = rng.choice([v for v in sorted(g.owners)
+                           if rng.random() < 0.1 or not g.is_terminal(v)])
+        depth = rng.choice((-1, 0, 1, 2, 3, 4, 5))
+        max_nodes = rng.choice((4, 12, 5000))
+        try:
+            expected = _reference_truncated_strategies(g, basic, player, root, depth, max_nodes)
+        except ProvError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                enumerate_strategies(g, player, root, max_nodes, depth=depth)
+            exceeded += isinstance(exc, BudgetExceeded)
+            rejected += depth < 1
+            continue
+        strategies = enumerate_strategies(g, player, root, max_nodes, depth=depth)
+
+        def view(s):
+            return (s.owner, s.root, s.position_counts, s.move_counts, s.admits_infinite,
+                    strategy_value(s, g, basic, "mu"))
+
+        assert list(map(view, strategies)) == list(map(view, expected))
+        compared += 1
+        several += len(strategies) > 1
+        cut += any(s.admits_infinite for s in strategies)
+    assert compared > 150 and several > 40 and cut > 80 and exceeded > 10 and rejected > 50
+
+
+def test_play_values_of_depth_cut_strategies():
+    # From v, Player 0 moves to s or to w; Player 1 at w plays both v and t.
+    # With depth 4, the play v w v w is cut.
+    g = reach_game()
+    a, s, t = (NATPOLY.token(x) for x in "ast")
+    basic = BasicValuation(NATPOLY, 0, {"s": s, "t": t}, {("w", "t"): a})
+    strategies = enumerate_strategies(g, 0, "v", depth=4)
+    assert [x.admits_infinite for x in strategies] == [False, False, True]
+    assert [play_values(x, g, basic) for x in strategies] == [
+        [s], [NATPOLY.mul(a, t), s], [NATPOLY.mul(a, t)]]
 
 
 def test_truncation_boundary_values():

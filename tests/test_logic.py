@@ -503,9 +503,9 @@ def test_fo_eval_converts_to_nnf_once(monkeypatch):
     calls = []
     real = logic.to_nnf
 
-    def counting(formula, negate=False):
+    def counting(formula):
         calls.append(formula)
-        return real(formula, negate)
+        return real(formula)
 
     monkeypatch.setattr(logic, "to_nnf", counting)
     assert fo_eval(pi, f) == expected
