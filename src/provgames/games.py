@@ -37,6 +37,22 @@ class GameGraph:
             self._succ[u].append(v)
         self._order = _UNKNOWN
 
+    @classmethod
+    def _trusted(cls, owners, moves, successors, order):
+        """Trusted constructor for `build_mc_game`, whose search builds the
+        owners, the moves, each position's successor list in `moves` order,
+        and the topological order (None if cyclic), all taken over as they
+        are.  The checks of `__init__` hold by construction.  No parallel
+        move: the keys of a position's successors differ (other occurrences,
+        or other universe elements, which are distinct), and so do their
+        positions.  No unknown end: every move joins two numbered positions."""
+        game = object.__new__(cls)
+        game.owners = owners
+        game.moves = moves
+        game._succ = successors
+        game._order = order
+        return game
+
     def _reject_moves(self):
         """Raise for the first parallel move or move with an unknown end."""
         seen = set()
@@ -77,8 +93,10 @@ class GameGraph:
     def topological_order(self):
         """Reverse-dependency order (successors first); None if cyclic.
 
-        The order of a depth-first search from each position in turn; moves
-        are fixed at construction, so it is computed once per graph.
+        The order in which a depth-first search from each position in turn
+        finishes them; moves are fixed at construction, so it is computed
+        once per graph.  A model-checking game gets it from the search that
+        built it (`GameGraph._trusted`), which is the same search.
         """
         if self._order is _UNKNOWN:
             self._order = self._depth_first_order()

@@ -22,6 +22,7 @@ from operator import itemgetter
 from .errors import (
     ArityError,
     FormulaSyntaxError,
+    MalformedGame,
     NoConvergence,
     NotModelDefining,
     NotNNF,
@@ -33,7 +34,7 @@ from .errors import (
 from .games import TERMINAL, BasicValuation, GameGraph, acyclic_valuation
 from .monomials import negate_token
 from .semirings import get_semiring
-from .solver import EquationSystem, build_system, kleene_lfp
+from .solver import EquationSystem, _components, _support, build_system, kleene_lfp
 
 # --- abstract syntax --------------------------------------------------------
 
@@ -628,14 +629,17 @@ class MCGame:
 
     @cached_property
     def labels(self):
-        occurrences = self._occurrences
-        return [(occurrences[i].path, frozenset(zip(occurrences[i].variables, values)))
-                for i, values in self._keys]
+        return [self._label(pos) for pos in range(len(self._keys))]
+
+    def _label(self, pos):
+        i, values = self._keys[pos]
+        occ = self._occurrences[i]
+        return occ.path, frozenset(zip(occ.variables, values))
 
     def describe(self, pos):
         """Position pos for a message: its occurrence path (child indices
         from the sentence down) and its binding, sorted by variable."""
-        path, env = self.labels[pos]
+        path, env = self._label(pos)
         binding = ", ".join(f"{var}={value}" for var, value in sorted(env))
         return f"position {path}" + (f" with {binding}" if binding else "")
 
@@ -673,18 +677,36 @@ class _Occurrence:
     Arguments resolve by `pick` from the position's values followed by
     `constants`; an unfolding picks one argument per distinct parameter,
     the last one bound to it.  `error` is the (exception class, message)
-    the occurrence raises when a game reaches it.  `shared` says that the
-    move into it forgets a variable, so that two positions can have one
-    successor here (a fixed-point body may be marked needlessly).
+    the occurrence raises when a game reaches it.  `shared` says that two
+    positions can have one successor here: the move into it forgets a
+    variable, or it is a fixed-point body, entered from its `Fp` position and
+    from every unfolding of its symbol.  Any other occurrence has one parent
+    occurrence, and the move from a parent position into it keeps every
+    value (a quantifier adds one), so each of its positions has exactly one
+    predecessor.
+
+    `parent` is the parent occurrence (None for the whole formula) and
+    `index` says which of its children this one is (0, or 1 for the right
+    operand of a connective): the links `path` follows up.
     """
 
-    __slots__ = ("path", "variables", "kind", "owner", "children", "child", "pick",
-                 "constants", "literal", "rel", "error", "shared")
+    __slots__ = ("parent", "index", "variables", "kind", "owner", "children", "child",
+                 "pick", "constants", "literal", "rel", "error", "shared")
 
-    def __init__(self, path, variables):
-        self.path = path
+    def __init__(self, parent, index, variables):
+        self.parent = parent
+        self.index = index
         self.variables = variables
         self.error = None
+
+    @property
+    def path(self):
+        """The child indices from the sentence down to this occurrence."""
+        path, occ = [], self
+        while occ.parent is not None:
+            path.append(occ.index)
+            occ = occ.parent
+        return tuple(reversed(path))
 
     def step(self, values, universe):
         """The keys of the successors of the position with these values,
@@ -735,15 +757,17 @@ def _game_plan(formula, universe):
     members = set(universe)
     free = _free_sets(formula)
     occurrences = []
-    # (subformula, path, variables, binders, parent occurrence, its picker)
-    todo = [(formula, (), (), {}, None, None)]
+    # (subformula, child index, variables, binders, parent occurrence, its picker)
+    todo = [(formula, 0, (), {}, None, None)]
     while todo:
-        f, path, variables, binders, parent, pick = todo.pop()
+        f, index, variables, binders, parent, pick = todo.pop()
         number = len(occurrences)
-        occ = _Occurrence(path, variables)
+        occ = _Occurrence(parent, index, variables)
         occurrences.append(occ)
+        # Of the 'unfold' occurrences, only fixed points have children here.
         occ.shared = parent is not None and (
-            len(variables) < len(parent.variables) + (parent.kind == "quant"))
+            parent.kind == "unfold"
+            or len(variables) < len(parent.variables) + (parent.kind == "quant"))
         if parent is not None and parent.kind == "branch":
             parent.children.append((number, pick))
         elif parent is not None:
@@ -768,7 +792,7 @@ def _game_plan(formula, universe):
                 sub_variables = tuple(v for v in variables if v in keep)
                 pick = (None if sub_variables == variables
                         else _picker(map(variables.index, sub_variables)))
-                todo.append((sub, path + (i,), sub_variables, binders, occ, pick))
+                todo.append((sub, i, sub_variables, binders, occ, pick))
         elif isinstance(f, Quant):
             occ.kind, occ.owner = "quant", 0 if f.kind == "exists" else 1
             # The outer entries the body can see, without the one it shadows.
@@ -777,7 +801,7 @@ def _game_plan(formula, universe):
             # between, undercounting in non-idempotent semirings.
             outer = tuple(v for v in variables if v in free[id(f)])
             occ.pick = _picker(map(variables.index, outer))
-            todo.append((f.sub, path + (0,), outer + (f.var,), binders, occ, None))
+            todo.append((f.sub, 0, outer + (f.var,), binders, occ, None))
         elif isinstance(f, Fp):
             occ.kind, occ.owner, occ.rel = "unfold", 0, f.rel
             if f.kind != "lfp":
@@ -786,7 +810,7 @@ def _game_plan(formula, universe):
             occ.pick = _picker(binding.values())
             # The body is planned next, so its index is the next one.
             body_binders = {**binders, f.rel: (number + 1, f.params)}
-            todo.append((f.body, path + (0,), tuple(binding), body_binders, occ, None))
+            todo.append((f.body, 0, tuple(binding), body_binders, occ, None))
         elif isinstance(f, Not):
             raise NotNNF("model-checking games require negation normal form")
         else:
@@ -795,63 +819,95 @@ def _game_plan(formula, universe):
 
 
 def build_mc_game(universe, formula):
-    """The game of an nnf formula over the universe.
+    """The game of an nnf formula over the universe, ready to value.
 
     Verifier (Player 0) owns disjunctions, existential quantifiers, and the
     unique-move unfolding positions of fixed points; Falsifier (Player 1)
     owns conjunctions and universal quantifiers.  A position is a subformula
     occurrence with values for the variables its subgame can depend on,
     keyed by (occurrence index, values tuple) after a plan made once per
-    formula (`_game_plan`, which `_Compiler` shares).  The game numbers
-    positions densely in first-visit order of a depth-first search with an
-    explicit stack (the root is 0), appending each move once its target's
-    subgame is built, so every later layer hashes small integers and deep
-    unfoldings do not recurse.  An occurrence that is not in the fragment or
-    not a sentence raises when the search reaches it.
+    formula (`_game_plan`, which `_Compiler` shares).  An occurrence that is
+    not in the fragment or not a sentence raises when the search reaches it.
+
+    One depth-first search with an explicit stack builds the game ready to
+    value, so deep unfoldings do not recurse.  It numbers positions densely
+    in first-visit order (the root is 0), so every later layer hashes small
+    integers, and appends each move once its target's subgame is built.
+    Only the positions of a `shared` occurrence can be reached twice, so
+    only their keys are looked up.  The search takes each position's
+    successors in order, as `GameGraph.topological_order` does from position
+    0, which reaches every position: so the order in which positions finish
+    is that topological order, and a lookup that finds an unfinished
+    position, one on the search path, closes a cycle.  The moves, the
+    successor lists and that order go to the trusted `GameGraph._trusted`.
     """
     universe = tuple(universe)
+    if len(set(universe)) != len(universe):
+        raise MalformedGame("the universe lists an element twice")
     occurrences = _game_plan(formula, universe)
-    ids = {}  # (occurrence index, values) -> position
-    keys = []
+    shared = [occ.shared for occ in occurrences]
+    ids = {}  # key of a shared occurrence -> position
+    keys = []  # position -> (occurrence index, values)
     owners = {}
+    successors = {}
     moves = []
+    order = []  # positions in the order they finish
+    finished = []  # position -> whether it has finished
     terminal_literals = {}
-
-    def enter(key):
-        """Number a new position; returns it with an iterator over the keys
-        of its successors."""
-        pos = ids[key] = len(keys)
-        keys.append(key)
-        i, values = key
-        occ = occurrences[i]
-        step = occ.step(values, universe)
-        owners[pos] = occ.owner
-        kind = occ.kind
-        if kind == "branch" or kind == "quant":
-            return pos, iter(step)
-        if kind == "unfold":
-            return pos, iter(((occ.child, step),))
-        if kind == "literal":
-            rel, positive = occ.literal
-            terminal_literals[pos] = (rel, step, positive)
-        else:
-            terminal_literals[pos] = ("=", step[0], step[1], occ.literal)
-        return pos, iter(())
-
-    stack = [enter((0, ()))]
-    while stack:
-        pos, successors = stack[-1]
-        for key in successors:
-            child = ids.get(key)
-            if child is None:
-                stack.append(enter(key))
+    cyclic = False
+    # The current frame: a position, its successor list so far and an
+    # iterator over the keys of its successors.  Its parents wait on the
+    # stack; the bottom frame only enters the root.
+    pos, out, todo = None, [], iter(((0, ()),))
+    stack = []
+    while True:
+        for key in todo:
+            i, values = key
+            if shared[i]:
+                child = ids.get(key)
+                if child is not None:
+                    cyclic = cyclic or not finished[child]
+                    moves.append((pos, child))
+                    out.append(child)
+                    continue
+                ids[key] = len(keys)
+            child = len(keys)
+            keys.append(key)
+            occ = occurrences[i]
+            step = occ.step(values, universe)
+            owners[child] = occ.owner
+            kind = occ.kind
+            if kind == "branch" or kind == "quant" or kind == "unfold":
+                finished.append(False)
+                stack.append((pos, out, todo))
+                pos, out = child, []
+                successors[pos] = out
+                todo = iter(((occ.child, step),) if kind == "unfold" else step)
                 break
-            moves.append((pos, child))
+            # A terminal finishes at once.
+            if kind == "literal":
+                rel, positive = occ.literal
+                terminal_literals[child] = (rel, step, positive)
+            else:
+                terminal_literals[child] = ("=", step[0], step[1], occ.literal)
+            finished.append(True)
+            successors[child] = []
+            order.append(child)
+            if pos is not None:
+                moves.append((pos, child))
+                out.append(child)
         else:
-            stack.pop()
-            if stack:
-                moves.append((stack[-1][0], pos))
-    return MCGame(GameGraph(owners, moves), 0, terminal_literals, keys, occurrences)
+            if not stack:
+                break
+            finished[pos] = True
+            order.append(pos)
+            child = pos
+            pos, out, todo = stack.pop()
+            if pos is not None:
+                moves.append((pos, child))
+                out.append(child)
+    game = GameGraph._trusted(owners, moves, successors, None if cyclic else order)
+    return MCGame(game, 0, terminal_literals, keys, occurrences)
 
 
 def game_eval(pi, sentence, player=0):
@@ -901,7 +957,31 @@ def poslfp_eval_direct(pi, sentence):
         return rhs[1]
     root = compiler.auxiliary(rhs)
     system = EquationSystem(pi.handle, compiler.equations)
-    return kleene_lfp(system)[root]
+    try:
+        return kleene_lfp(system)[root]
+    except NoConvergence as exc:
+        if not str(exc.variable).startswith("#"):
+            raise
+        raise exc.naming(repr(_tuple_on_cycle(system, exc.variable))) from None
+
+
+def _tuple_on_cycle(system, auxiliary):
+    """A tuple variable to name in place of an auxiliary that a
+    `NoConvergence` names: a member of the auxiliary's strongly connected
+    component in the support graph, where the support method found it on a
+    cycle, or else in the dependency graph, whose components the n+1 rule
+    solves.  An auxiliary refers only to older ones, so every cycle passes
+    through a tuple variable.  The tuple variable whose body made the
+    auxiliary may lie on no cycle: the auxiliaries of a shared subformula
+    serve several bodies."""
+    zero = system.handle.zero
+    support = _support(system)
+    for keep in (lambda coeff, dep: coeff != zero and dep in support, lambda coeff, dep: True):
+        successors = {var: [dep for coeff, dep in rhs[1] if keep(coeff, dep)]
+                      if rhs[0] != "const" else () for var, rhs in system.equations.items()}
+        for component in _components(successors)[0]:
+            if auxiliary in component and len(component) > 1:
+                return next(var for var in component if not var.startswith("#"))
 
 
 def model_check(structure, sentence):

@@ -132,6 +132,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 
 from .errors import NoConvergence, NotFullyOmegaContinuous, ProvError
+from .games import TERMINAL
 from .infinity import INF, ext_add
 from .monomials import ONE_MONOMIAL, Monomial
 from .poly import BOOLPOLY, DUALNAT, WHYPOLY, Polynomial
@@ -171,6 +172,16 @@ class EquationSystem:
             for _, dep in rhs[1]:
                 if dep not in self.equations:
                     raise ProvError(f"equation for {var!r} uses unknown variable {dep!r}")
+
+    @classmethod
+    def _trusted(cls, handle, equations):
+        """Trusted constructor: takes `equations` over without the checks of
+        `__init__`, for `build_system`, whose equations pass them."""
+        system = object.__new__(cls)
+        system.handle = handle
+        system.equations = equations
+        system.evaluations = 0
+        return system
 
     def apply(self, assignment):
         """One full application of the system: every right-hand side
@@ -221,17 +232,23 @@ class EquationSystem:
 
 def build_system(game, basic):
     """The equation system of the game: sums at the valuation owner's
-    positions, products at the opponent's, constants at terminals."""
-    handle = basic.handle
+    positions, products at the opponent's, constants at terminals.  It reads
+    the graph's owners and successor lists and the valuation's terminal and
+    move values directly, since it visits every position and move.  Every
+    tag is 'const', 'sum' or 'prod', and every move of a `GameGraph` ends at
+    a position, which has an equation: the checks `EquationSystem` skips."""
+    handle, player, f, h = basic.handle, basic.player, basic.f, basic.h
+    one = handle.one
+    successors = game._succ
     equations = {}
-    for v in game.owners:
-        if game.is_terminal(v):
-            equations[v] = ("const", basic.terminal_value(v))
+    for v, owner in game.owners.items():
+        if owner == TERMINAL:
+            equations[v] = ("const", f[v])
         else:
-            parts = tuple((basic.move_value((v, w)), w) for w in game.successors(v))
-            op = "sum" if game.owner(v) == basic.player else "prod"
-            equations[v] = (op, parts)
-    return EquationSystem(handle, equations)
+            parts = (tuple([(h.get((v, w), one), w) for w in successors[v]]) if h
+                     else tuple([(one, w) for w in successors[v]]))
+            equations[v] = ("sum" if owner == player else "prod", parts)
+    return EquationSystem._trusted(handle, equations)
 
 
 def _unchanged(a, b):

@@ -1,6 +1,7 @@
 """Logic: parser, nnf, games, agreement suites, tracking interpretations."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from provgames import logic
 from provgames.errors import (
     ArityError,
     FormulaSyntaxError,
+    MalformedGame,
     NoConvergence,
     NotModelDefining,
     NotNNF,
@@ -16,7 +18,7 @@ from provgames.errors import (
     ProvError,
     TrackedFalseLiteral,
 )
-from provgames.games import TERMINAL
+from provgames.games import TERMINAL, GameGraph
 from provgames.infinity import INF
 from provgames.logic import (
     And,
@@ -436,6 +438,47 @@ def test_mc_game_matches_reference_on_corpus():
                 assert {labels[v]: lit for v, lit in mc.terminal_literals.items()} == literals
                 count += 1
     assert count == 240
+
+
+def test_mc_game_hands_over_the_graph_its_search_built():
+    # build_mc_game hands its successor lists and finish order to the trusted
+    # constructor; the checked one, with a search of its own, must agree.
+    rng = make_rng(salt=22)
+    games = cyclic = 0
+    for universe in (("a", "b"), ("a", "b", "c")):
+        for _ in range(150):
+            for f in (to_nnf(random_fo_formula(rng, universe, depth=4)),
+                      to_nnf(random_poslfp_formula(rng, universe))):
+                try:
+                    mc = build_mc_game(universe, f)
+                except ProvError:
+                    continue
+                rebuilt = GameGraph(mc.game.owners, mc.game.moves)
+                assert mc.game.topological_order() == rebuilt.topological_order()
+                assert mc.game.is_acyclic() == rebuilt.is_acyclic()
+                for v in rebuilt.owners:
+                    assert mc.game.successors(v) == rebuilt.successors(v)
+                games += 1
+                cyclic += not rebuilt.is_acyclic()
+    assert (games, cyclic) == (600, 209)
+
+
+def test_a_fixed_point_body_reached_twice_is_one_position():
+    # The body with x = a is entered from the Fp position 0 and from the
+    # unfolding of R(x) inside it, which closes the cycle.
+    mc = build_mc_game(("a", "b"), parse_formula("[lfp R(x). P(x) | R(x)](a)"))
+    game = mc.game
+    assert len(game.owners) == 4
+    assert game.successors(0) == game.successors(3) == [1]
+    assert mc.labels[1] == ((0,), frozenset({("x", "a")}))
+    assert mc.labels[3] == ((0, 1), frozenset({("x", "a")}))
+    assert game.topological_order() is None and not game.is_acyclic()
+    assert GameGraph(game.owners, game.moves).topological_order() is None
+
+
+def test_a_universe_with_a_repeated_element_is_rejected():
+    with pytest.raises(MalformedGame, match="^the universe lists an element twice$"):
+        build_mc_game(("a", "b", "a"), parse_formula("exists x. R(x)"))
 
 
 def test_quantifier_environments_keep_every_move():
@@ -1042,6 +1085,61 @@ def test_formulas_built_in_python_nest_to_any_depth():
     fixpoints = Fp(body.kind, body.rel, body.params, body.body, ("a",))
     assert free_variables(fixpoints) == {"a"}
     assert game_eval(pi, fixpoints) == poslfp_eval_direct(pi, fixpoints) == INF
+
+
+def test_formulas_built_in_python_take_memory_linear_in_their_depth():
+    # Occurrences link to their parents; a copied path per occurrence took
+    # about 300 MB for this chain in both modes.
+    nat = get_semiring("nat")
+    pi = KInterpretation(nat, ("a",), {"Q": 1},
+                         {("Q", ("a",), True): 1, ("Q", ("a",), False): 1})
+    f = Atom("Q", ("a",))
+    for _ in range(6000):
+        f = Not(And(f, Atom("Q", ("a",))))
+    for evaluate in (fo_eval, game_eval):
+        tracemalloc.start()
+        try:
+            assert evaluate(pi, f) == 3001
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, (evaluate.__name__, peak)
+
+
+def test_direct_mode_names_a_tuple_variable_on_the_cycle():
+    nat = get_semiring("nat")
+    pi = KInterpretation(nat, ("a", "b"), {"R": 1},
+                         {("R", ("a",), True): 3, ("R", ("b",), True): 2})
+    f = parse_formula("[lfp F(x). R(x) | forall y. exists z. F(y)](b)")
+    with pytest.raises(NoConvergence, match=r"^no least fixed point: 'F\(a\)' is nonzero"):
+        poslfp_eval_direct(pi, f)
+    # The auxiliary of the shared subformula forall z. F(a,x) is made in the
+    # body of F(a,b), which lies on no cycle; only F(a,a) does.
+    pi = KInterpretation(nat, ("a", "b"), {"R": 1}, {("R", ("b",), True): 1})
+    f = parse_formula("[lfp F(x,y). R(b) | (R(b) | forall z. F(a,x))](a,b)")
+    with pytest.raises(NoConvergence, match=r"^no least fixed point: 'F\(a,a\)' is nonzero"):
+        poslfp_eval_direct(pi, f)
+
+
+@pytest.mark.parametrize("selector, expected", [("nat", 75), ("dualnat", 69), ("natpoly", 66)])
+def test_direct_mode_messages_never_name_an_auxiliary(selector, expected):
+    # Before, 13, 13 and 9 of these messages named an auxiliary '#k'.
+    handle = get_semiring(selector)
+    rng = make_rng(salt=99)
+    diverged = 0
+    for universe, count in ((("a", "b"), 120), (("a", "b", "c"), 40)):
+        for _ in range(count):
+            f = random_poslfp_formula(rng, universe)
+            pi = random_interpretation(rng, handle, universe,
+                                       rels={**RELS, "F": len(f.params)})
+            try:
+                poslfp_eval_direct(pi, f)
+            except NoConvergence as exc:
+                assert "'#" not in str(exc), (f, str(exc))
+                diverged += 1
+            except ProvError:
+                pass
+    assert diverged == expected
 
 
 def test_direct_mode_raises_the_first_fragment_fault_in_preorder():
