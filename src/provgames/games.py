@@ -8,6 +8,7 @@ with infinite exponents, but are never materialized as trees.
 
 from dataclasses import dataclass, field
 from itertools import chain
+from math import prod
 
 from .errors import (
     BudgetExceeded,
@@ -306,6 +307,59 @@ def enumerate_strategies(game, player, root, max_nodes=100_000, depth=None):
         Strategy.from_paths(player, root, node_set, game)
         for node_set in done
     ]
+
+
+def count_strategies(game, player, root, max_nodes=100_000, depth=None):
+    """The number of strategies `enumerate_strategies` lists, found without
+    building any; raises BudgetExceeded where enumeration would.
+
+    By the strategy-sum theorem (acceptance criterion 2), the number of
+    strategies from the root is the nat value of the game with every
+    terminal, cut leaf and move worth 1: a position of `player` adds up its
+    successors' counts, any other position multiplies them.  With a `depth`,
+    that game is the layered one on (position, moves left), in which a
+    position with no moves left is a cut leaf; without one, the game must be
+    acyclic from the root.  Each (position, moves left) pair is valued once,
+    so the work is at most |V| * depth pairs where the unravelling is
+    exponential.
+
+    The same pass counts the nodes of each pair's unravelling, which
+    enumeration charges to its budget.  Every pair valued lies in the
+    root's unravelling, so enumeration exceeds its budget once a pair has
+    more than `max_nodes` nodes, a path more than `max_nodes` positions, or
+    a cycle is reached without a depth.
+    """
+    if depth is not None and depth < 1:
+        raise ProvError("truncation depth must be >= 1")
+    over = BudgetExceeded(f"strategy enumeration exceeded {max_nodes} nodes")
+    counted = {}  # (position, moves left) -> (strategies, nodes)
+    start = (root, None if depth is None else depth - 1)
+    stack, open_pairs = [start], {start}
+    while stack:
+        if len(stack) > max_nodes:
+            raise over
+        pair = stack[-1]
+        v, left = pair
+        if game.is_terminal(v) or left == 0:
+            counted[pair] = (1, 1)
+        else:
+            below = [(w, None if left is None else left - 1) for w in game.successors(v)]
+            todo = next((p for p in below if p not in counted), None)
+            if todo is not None:
+                if todo in open_pairs:
+                    raise over
+                stack.append(todo)
+                open_pairs.add(todo)
+                continue
+            counts = [counted[p] for p in below]
+            nodes = 1 + sum(n for _, n in counts)
+            if nodes > max_nodes:
+                raise over
+            strategies = (sum if game.owner(v) == player else prod)(s for s, _ in counts)
+            counted[pair] = (strategies, nodes)
+        stack.pop()
+        open_pairs.discard(pair)
+    return counted[start][0]
 
 
 def strategy_value(strategy, game, basic, mode="acyclic"):

@@ -23,35 +23,46 @@ unchanged, dict order included):
 * Every other sum (natpoly, dualnat, boolpoly, whypoly, series:D,
   seriesdual:D) adds b's coefficients into a copy of a; in a kind without
   coefficients it is the union of the operands' monomials.
-* A product in a kind that is neither an antichain nor multilinear (natpoly,
-  dualnat, boolpoly, series:D, seriesdual:D) multiplies the monomials pair by
-  pair, a's in the outer loop, adding up the coefficients of equal products.
-  It drops a product with a complementary pair and one above the degree
-  bound (and then sets `truncated`), and sets every coefficient to 1 in a
-  kind without coefficients.  These are the checks the operands do not
-  imply.  The other products take the same loop and then `_canonicalize`.
+* Every other product multiplies the monomials pair by pair, a's in the
+  outer loop, adding up the coefficients of equal products.  It drops a
+  product with a complementary pair and one above the degree bound (and
+  then sets `truncated`): these are the checks the operands do not imply.
+  In a kind without coefficients it sets every coefficient to 1; in an
+  antichain kind that is not multilinear (sorp, sorpinf, sorpinfdual) it
+  keeps the absorption-maximal products (`normalize_antichain`).
+  Multilinear products (whypoly, posbool) go through `_canonicalize`.
+* Operands with two monomials or more each and at least
+  `PACKED_PRODUCT_MIN` pairs take the pair loop on packed keys
+  (`monomials.Packing`): a pair's product is an int sum, it is tested
+  before any merge, and one `Monomial` is built per distinct product.
 
 The checks these results skip are implied by the operands.  Zero
 coefficients: every coefficient is >= 1 or INF, and so are their sums and
 products.  Complementary pairs: the operands' monomials have none.  So a
 union has none, and a product m1*m2 has one exactly when some token of m2 is
-the negation of a token of m1, which is all the pair loop tests (it compares
-the token sets only where the signature of m1's negated tokens meets m2's
-signature, a necessary condition; see `monomials`); the
+the negation of a token of m1, which is all the pair loop tests.  The plain
+loop compares the token sets only where the signature of m1's negated tokens
+meets m2's signature, a necessary condition (see `monomials`).  The packed
+loop tests m2's guard bits against those of the tokens that negate m1's: a
+token's guard bit is its own in one packing, so the test is exact.  The
 single-monomial antichain product tests each product, as `_canonicalize`
 does.  Multilinear cap: a union of multilinear monomials is multilinear, and
-multilinear kinds take the general product path.  INF exponents: a union
+multilinear products take `_canonicalize`.  INF exponents: a union
 introduces none, and a product has one only where an operand of the same kind
 has it.  Coefficients: sums and products of integers and INF are again such;
 antichain kinds keep coefficient 1 on every monomial, a union of monomials
 with coefficient 1 keeps it, and the identities keep the operand's.  Degree
 bound: a union has no monomial above the operands' degrees, and the
-identities change no monomial.  Dict order: apart from the antichain kinds,
-`_canonicalize` keeps the order of the mapping it is given and only drops
-entries.  The sums put a's monomials first and then b's new ones, as the
-general route does, and the coefficient product places each monomial where
-its first pair puts it and drops the same products in place, so both have the
-general route's order.
+identities change no monomial.  A product's degree is the sum of its
+operands' degrees, which the bounded kinds keep finite, so the pair loops cut
+a pair by that sum before multiplying it.  Dict order: apart from the
+antichain kinds, `_canonicalize` keeps the order of the mapping it is given
+and only drops entries.  The sums put a's monomials first and then b's new
+ones, as the general route does, and the coefficient product places each
+monomial where its first pair puts it and drops the same products in place,
+so both have the general route's order.  The packed loop keeps the first
+pair of each product key, and keys are equal exactly when products are, so
+its order is the plain loop's.
 
 Values are printed with their terms in display order (`sort_monomials`).
 `format_polys` prints a batch of values, such as all positions of a game,
@@ -65,6 +76,7 @@ from .infinity import INF, ext_add
 from .monomials import (
     ONE_MONOMIAL,
     Monomial,
+    Packing,
     format_monomial,
     merge_antichains,
     negate_token,
@@ -220,24 +232,17 @@ class Polynomial:
                         products = [p for p in products if not p.has_complementary_pair()]
                     return Polynomial._canonical(
                         kind, dict.fromkeys(rank_sorted(products), 1), truncated)
-        out = {}
-        bound = kind.degree_bound
-        negated, negated_sig = (), 0
-        for m1, c1 in self.monos.items():
-            if kind.dual:
-                negated = {negate_token(t) for t, _ in m1.exps}
-                negated_sig = token_signature(negated)
-            for m2, c2 in other.monos.items():
-                # m2 shares no token with `negated` unless the signatures meet.
-                if negated_sig & m2.sig and not negated.isdisjoint(m2.tokens()):
-                    continue
-                m = m1.mul(m2)
-                if bound is not None and m.degree() > bound:
-                    truncated = True
-                    continue
-                out[m] = ext_add(out.get(m, 0), _coeff_mul(c1, c2))
-        if kind.antichain or kind.multilinear:
+        a, b = self.monos, other.monos
+        if len(a) >= 2 and len(b) >= 2 and len(a) * len(b) >= PACKED_PRODUCT_MIN:
+            out, cut = _packed_products(kind, a, b)
+        else:
+            out, cut = _pairwise_products(kind, a, b)
+        truncated = truncated or cut
+        if kind.multilinear:
             return Polynomial(kind, out, truncated)
+        if kind.antichain:
+            return Polynomial._canonical(
+                kind, dict.fromkeys(normalize_antichain(out), 1), truncated)
         if not kind.coefficients:
             out = dict.fromkeys(out, 1)
         return Polynomial._canonical(kind, out, truncated)
@@ -247,6 +252,73 @@ class Polynomial:
 
 
 _ONE_MONOS = {ONE_MONOMIAL: 1}
+
+
+# Products of two operands with two monomials or more each and at least
+# this many pairs are found on packed keys.  Replaying every such product of
+# the three benchmark workloads (seed 1) in both loops, best of 5 on a shared
+# 2-core host with Python 3.11, packed over plain time was 1.13 at 24-31
+# pairs, 1.08 at 32-47, 0.80 at 48-63 and 0.45 at 256 pairs or more.
+PACKED_PRODUCT_MIN = 48
+
+
+def _pairwise_products(kind, a, b):
+    """The products of a's and b's monomials, a's in the outer loop, with the
+    coefficients of equal products added up; complementary products are
+    dropped and those above the degree bound cut.  Returns (products, cut)."""
+    out = {}
+    cut = False
+    bound = kind.degree_bound
+    negated, negated_sig = (), 0
+    for m1, c1 in a.items():
+        if kind.dual:
+            negated = {negate_token(t) for t, _ in m1.exps}
+            negated_sig = token_signature(negated)
+        room = None if bound is None else bound - m1.degree()
+        for m2, c2 in b.items():
+            # m2 shares no token with `negated` unless the signatures meet.
+            if negated_sig & m2.sig and not negated.isdisjoint(m2.tokens()):
+                continue
+            if room is not None and m2.degree() > room:
+                cut = True
+                continue
+            m = m1.mul(m2)
+            # Coefficients are >= 1 or INF, and INF absorbs + and * by them.
+            out[m] = out.get(m, 0) + c1 * c2
+    return out, cut
+
+
+def _packed_products(kind, a, b):
+    """`_pairwise_products` on the keys of one `Packing` of both operands:
+    each pair is tested and multiplied as ints, and one `Monomial` is built
+    per distinct product, from the first pair that gives it."""
+    packing = Packing((a, b))
+    dual, bound = kind.dual, kind.degree_bound
+    rows = [(*packing.split(m2), packing.guard_bits(m2.tokens()) if dual else 0, m2.degree(),
+             m2, c2) for m2, c2 in b.items()]
+    # Product key -> coefficient, and -> the product built from its first
+    # pair; both in the order of first occurrence.
+    coeffs, monos = {}, {}
+    cut = False
+    for m1, c1 in a.items():
+        finite, infinite = packing.split(m1)
+        fit = rows
+        if dual:
+            clash = packing.guard_bits(negate_token(t) for t, _ in m1.exps)
+            fit = [r for r in fit if not clash & r[2]]
+        if bound is not None:
+            room = bound - m1.degree()
+            under = [r for r in fit if r[3] <= room]
+            cut = cut or len(under) < len(fit)
+            fit = under
+        for f2, i2, _, _, m2, c2 in fit:
+            key = (finite + f2) | infinite | i2
+            if key in coeffs:
+                coeffs[key] += c1 * c2
+            else:
+                coeffs[key] = c1 * c2
+                monos[key] = m1.mul(m2)
+    return dict(zip(monos.values(), coeffs.values())), cut
 
 
 def _canonicalize(kind, monos):

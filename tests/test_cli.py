@@ -330,6 +330,48 @@ def test_census_depth_cuts_plays_from_the_root(capsys, tmp_path):
     assert time.perf_counter() - start < 10
 
 
+F17_GAME = ("position v player0\nposition u player0\nposition w player1\n"
+            "position t terminal\nmove v t\nmove v w\nmove u t\nmove u w\n"
+            "move w v\nmove w u\n")
+
+
+@pytest.mark.parametrize("depth, count", ((10, 458330), (12, 210066388901)))
+def test_census_counts_before_it_builds(capsys, tmp_path, depth, count):
+    # Few nodes but doubly exponentially many strategies: w takes the
+    # product of v's and u's counts.  census names the count and exits.
+    path = tmp_path / "f17.game"
+    path.write_text(F17_GAME)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", str(path), "--from", "v", "--depth", str(depth))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (f"error: census would list {count} strategies, "
+                   f"more than {cli.CENSUS_LIMIT}\n")
+
+
+def test_census_lists_up_to_its_limit(capsys, tmp_path):
+    path = tmp_path / "f17.game"
+    path.write_text(F17_GAME)
+    code, out, err = run(capsys, "census", str(path), "--from", "v", "--depth", "9")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "strategies: 677"
+    assert len(out.splitlines()) == 678
+
+
+def test_census_gives_the_order_of_a_huge_count(capsys, tmp_path):
+    # Player 1 moves to one of 300 choices of two terminals each: 2^300
+    # strategies on 901 nodes.
+    lines = ["position r player1", "position a terminal", "position b terminal"]
+    lines += [f"position c{i} player0" for i in range(300)]
+    lines += [f"move r c{i}" for i in range(300)]
+    lines += [f"move c{i} {x}" for i in range(300) for x in "ab"]
+    path = tmp_path / "star.game"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "census", str(path), "--from", "r")
+    assert (code, out) == (3, "")
+    assert err == f"error: census would list at least 2^300 strategies, more than {cli.CENSUS_LIMIT}\n"
+
+
 @pytest.mark.parametrize("argv", (
     ("eval-game", REACH, "--fixpoint", "mu", "--semiring", "sorpinf"),
     ("solve-system", REACH, "--semiring", "sorpinf"),

@@ -15,6 +15,7 @@ from provgames.games import (
     absorption_dominates,
     acyclic_valuation,
     check_separating,
+    count_strategies,
     enumerate_strategies,
     play_values,
     strategy_value,
@@ -249,6 +250,49 @@ def test_enumeration_matches_recursive_expansion():
         compared += 1
         several += len(expected) > 2
     assert compared > 60 and exceeded > 20 and several > 20
+
+
+def test_strategy_count_matches_enumeration():
+    # With and without a depth, and with budgets that enumeration exceeds:
+    # count_strategies raises the same error wherever enumeration does.
+    # Counts above 5000 are not listed; a few such games take seconds.
+    rng = make_rng(salt=29)
+    counted = exceeded = several = 0
+    for _ in range(100):
+        g = random_acyclic_game(rng, max_positions=10) if rng.random() < 0.5 \
+            else random_cyclic_game(rng, max_positions=6, max_out=3)
+        roots = [v for v in sorted(g.owners) if not g.is_terminal(v)]
+        for root in roots[:2]:
+            player = rng.randint(0, 1)
+            depths = (None, 1, 2, 4) if g.is_acyclic() else (None, 1, 3, 5, 7)
+            for depth in depths:
+                max_nodes = rng.choice((30, 400))
+                try:
+                    count = count_strategies(g, player, root, max_nodes, depth)
+                except BudgetExceeded as exc:
+                    with pytest.raises(BudgetExceeded, match=str(exc)):
+                        enumerate_strategies(g, player, root, max_nodes, depth)
+                    exceeded += 1
+                    continue
+                if count <= 5000:
+                    assert len(enumerate_strategies(g, player, root, max_nodes, depth)) == count
+                    counted += 1
+                    several += count > 2
+    assert counted > 600 and exceeded > 40 and several > 100
+
+
+def test_strategy_count_of_a_game_whose_strategies_outgrow_its_nodes():
+    # F17: w multiplies the counts of v and u, each 1 + w's count one move
+    # later, so the count squares every two moves while the nodes double.
+    g = GameGraph({"v": 0, "u": 0, "w": 1, "t": TERMINAL},
+                  [("v", "t"), ("v", "w"), ("u", "t"), ("u", "w"), ("w", "v"), ("w", "u")])
+    assert [count_strategies(g, 0, "v", depth=d) for d in range(1, 13)] == \
+        [1, 2, 2, 5, 5, 26, 26, 677, 677, 458330, 458330, 210066388901]
+    assert len(enumerate_strategies(g, 0, "v", depth=9)) == 677
+    with pytest.raises(BudgetExceeded):
+        count_strategies(g, 0, "v")
+    with pytest.raises(ProvError):
+        count_strategies(g, 0, "v", depth=0)
 
 
 def test_enumeration_of_long_chain():

@@ -1,11 +1,14 @@
 """Polynomial quotients: ring laws, absorption, duality, projections."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from provgames import monomials, poly
 from provgames.errors import DualityViolated, IllegalProjection, KindMismatch
 from provgames.infinity import INF, ext_add, ext_le
 from provgames.monomials import (
@@ -662,6 +665,213 @@ def test_dual_products_match_reference_under_signature_collisions(kind):
 
 def test_infinity_hash_is_unchanged():
     assert hash(INF) == hash("provgames-infinity")
+
+
+# --- the packed kernel ----------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(MONO_EXPS, MONO_EXPS, st.integers(min_value=1, max_value=4))
+def test_every_construction_keeps_its_rank(d1, d2, bound):
+    m1, m2 = Monomial(d1), Monomial(d2.items())
+    for m in (m1, m2, m1.mul(m2), m2.mul(m1), m1.mul(ONE_MONOMIAL),
+              m1.cap_at(bound), m2.cap_linear(), ONE_MONOMIAL):
+        infs = sum(e is INF for _, e in m.exps)
+        total = sum(e for _, e in m.exps if e is not INF)
+        assert (m._infs, m._total) == (infs, total)
+        assert m.degree() == (INF if infs else total)
+
+
+CROSSOVERS = ((poly, "PACKED_PRODUCT_MIN"), (monomials, "PACKED_NORMALIZE_MIN"),
+              (monomials, "PACKED_MERGE_PAIRS"))
+
+
+@contextmanager
+def crossovers(at):
+    """Every crossover of the packed kernel set to `at`: 0 packs every
+    product, normalization and merge that may be packed, None packs none."""
+    saved = [getattr(module, name) for module, name in CROSSOVERS]
+    for module, name in CROSSOVERS:
+        setattr(module, name, 10**9 if at is None else at)
+    try:
+        yield
+    finally:
+        for (module, name), value in zip(CROSSOVERS, saved):
+            setattr(module, name, value)
+
+
+# 80 tokens, so that token signatures collide; largest exponents on both
+# sides of a field-width step (2^k - 1 and 2^k), and 10^6.
+WIDE_TOKENS = tuple(f"w{i}" for i in range(80))
+EDGE_EXPONENTS = (1, 2, 3, 4, 7, 8, 255, 256, 2**20 - 1, 2**20, 10**6)
+WIDE_KINDS = KERNEL_KINDS + (trunc_kind(300), trunc_kind(2**21, dual=True))
+
+
+def wide_polys(kind):
+    """Values over many tokens with edge exponents; a few tokens and their
+    negations recur, so products meet and complementary pairs split across
+    the operands."""
+    exps = st.sampled_from(EDGE_EXPONENTS)
+    if kind.inf_exponents:
+        exps = st.one_of(exps, st.just(INF))
+    coeffs = st.integers(min_value=1, max_value=4)
+    if kind.inf_coefficients:
+        coeffs = st.one_of(coeffs, st.just(INF))
+    few = ("w0", "w1", "w2") + (("~w0", "~w1") if kind.dual else ())
+    tokens = st.one_of(st.sampled_from(few), st.sampled_from(WIDE_TOKENS))
+    mono = st.dictionaries(tokens, exps, max_size=4).map(lambda d: Monomial(d.items()))
+    return st.tuples(st.dictionaries(mono, coeffs, max_size=12), st.booleans()).map(
+        lambda mb: Polynomial(kind, mb[0], mb[1]))
+
+
+def exps_and_hashes(monos):
+    return [(m.exps, hash(m)) for m in monos]
+
+
+def test_wide_tokens_collide():
+    assert len({_signature_bit(t) for t in WIDE_TOKENS}) < len(WIDE_TOKENS)
+
+
+@pytest.mark.parametrize("packed", (None, 0), ids=("pairwise", "packed"))
+@pytest.mark.parametrize("kind", WIDE_KINDS, ids=str)
+def test_kernel_matches_reference_on_wide_values(kind, packed):
+    @settings(max_examples=25, deadline=None)
+    @given(wide_polys(kind), wide_polys(kind))
+    def check(a, b):
+        for x, y in ((a, b), (b, a)):
+            with crossovers(None):
+                wants = reference_sum(x, y), reference_product(x, y)
+            with crossovers(packed):
+                gots = x + y, x * y
+            for got, want in zip(gots, wants):
+                assert got == want and got.truncated == want.truncated
+                assert exps_and_hashes(got.monos) == exps_and_hashes(want.monos)
+        if kind.antichain:
+            pool = list(a.monos) + list(b.monos)
+            with crossovers(packed):
+                kept = normalize_antichain(pool)
+                merged = merge_antichains(a.monos, b.monos)
+            assert set(kept) == reference_antichain(pool)
+            assert exps_and_hashes(merged) == exps_and_hashes(kept)
+
+    check()
+
+
+@pytest.mark.parametrize("packed", (None, 0), ids=("pairwise", "packed"))
+@pytest.mark.parametrize("kind", (SORPINF, SORPINFDUAL), ids=str)
+def test_packed_kernel_on_infinite_exponents(kind, packed, monkeypatch):
+    # INF meets INF, a field-width edge and 10^6 in either operand; in the
+    # dual kind, p*~q and ~p*q meet their complements across the operands.
+    # Equal products come from pairs (m1, m2) and (m2, m1) of a*a, and from
+    # p*r and p^2*s times d's INF monomial; the packed loop builds each once.
+    a = parse_poly(kind, "p^inf*q + p^255*r + q^inf*r^1000000 + s + ~q")
+    b = parse_poly(kind, "p^256*q^inf + p^inf + r^inf*s + q*~p + r^1000000")
+    c = parse_poly(kind, "p*r + p^2*s + ~q")
+    d = parse_poly(kind, "p^inf*r^inf*s^inf + q + t^255")
+    built = []
+    mul = Monomial.mul
+    monkeypatch.setattr(Monomial, "mul", lambda m1, m2: built.append(None) or mul(m1, m2))
+    for x, y in ((a, b), (b, a), (a, a), (c, d), (d, c)):
+        with crossovers(None):
+            wants = reference_sum(x, y), reference_product(x, y)
+        with crossovers(packed):
+            del built[:]
+            gots = x + y, x * y
+        for got, want in zip(gots, wants):
+            assert got == want and exps_and_hashes(got.monos) == exps_and_hashes(want.monos)
+        # One product per pair without a complementary pair, or, packed, per
+        # distinct product.
+        kept = [m for m in (reference_mul(m1, m2) for m1 in x.monos for m2 in y.monos)
+                if not (kind.dual and m.has_complementary_pair())]
+        assert len(built) == (len(kept) if packed is None else len(set(kept)))
+        assert len(set(kept)) < len(kept) or x is b or y is b
+
+
+@pytest.mark.parametrize("packed", (None, 0), ids=("pairwise", "packed"))
+@pytest.mark.parametrize("kind", (NATPOLY, DUALNAT, SORP, SORPINFDUAL, POSBOOL), ids=str)
+def test_packed_kernel_over_more_tokens_than_signature_bits(kind, packed):
+    # 72 tokens in all; the few that both operands share make equal
+    # products, absorptions and, in dual kinds, complementary pairs.
+    def value(names, shared):
+        return Polynomial(kind, {Monomial({t: 1 + i % 3, shared[i % len(shared)]: 1}): 1
+                                 for i, t in enumerate(names)})
+
+    left = [f"a{i}" for i in range(34)]
+    right = [f"b{i}" for i in range(34)]
+    a = value(left, ["s", "t"])
+    b = value(right, ["s", "~t"] if kind.dual else ["s", "u"])
+    b = b + value(["s", "t"], ["a0"])
+    for x, y in ((a, b), (b, a)):
+        with crossovers(None):
+            wants = reference_sum(x, y), reference_product(x, y)
+        with crossovers(packed):
+            gots = x + y, x * y
+        for got, want in zip(gots, wants):
+            assert got == want and exps_and_hashes(got.monos) == exps_and_hashes(want.monos)
+
+
+def test_packed_kernel_cuts_at_the_degree_bound():
+    kind = trunc_kind(300)
+    a = parse_poly(kind, "p^255 + 2*q + p*q^44 + r^256")
+    b = parse_poly(kind, "p^45 + q^255 + inf*r^44 + r")
+    for packed in (None, 0):
+        with crossovers(packed):
+            got = a * b
+        assert got.truncated
+        assert exps_and_hashes(got.monos) == exps_and_hashes(reference_product(a, b).monos)
+        # p^255*q^255, r^256*p^45 and r^256*q^255 are cut.
+        assert format_poly(got) == (
+            "2*q*r + inf*q*r^44 + p*q^44*r + 2*p^45*q + inf*p*q^44*r^44 + p^46*q^44 + "
+            "p^255*r + 2*q^256 + r^257 + inf*p^255*r^44 + p*q^299 + p^300 + inf*r^300")
+
+
+def _packings(monkeypatch):
+    """A list that gets an entry for each `Packing` built."""
+    built = []
+
+    class Counted(monomials.Packing):
+        def __init__(self, groups):
+            built.append(None)
+            super().__init__(groups)
+
+    monkeypatch.setattr(monomials, "Packing", Counted)
+    monkeypatch.setattr(poly, "Packing", Counted)
+    return built
+
+
+def test_products_pack_from_their_crossover_on(monkeypatch):
+    built = _packings(monkeypatch)
+    n = poly.PACKED_PRODUCT_MIN
+    token = partial(Polynomial.token, NATPOLY)
+    a = Polynomial(NATPOLY, {Monomial({f"a{i}": 1}): 1 for i in range(n)})
+    b = token("b") + token("c")
+    for x, y, packs in ((a, token("b"), 0), (a, b, 1),
+                        (Polynomial(NATPOLY, dict(list(a.monos.items())[:n // 2 - 1])), b, 0),
+                        (Polynomial(NATPOLY, dict(list(a.monos.items())[:n // 2])), b, 1)):
+        del built[:]
+        got = x * y
+        assert len(built) == packs
+        assert exps_and_hashes(got.monos) == exps_and_hashes(reference_product(x, y).monos)
+
+
+def test_antichains_pack_from_their_crossovers_on(monkeypatch):
+    built = _packings(monkeypatch)
+    # The pool p^k * q^(n-k) is an antichain; q^inf is absorbed by q^n.
+    for n in (monomials.PACKED_NORMALIZE_MIN - 1, monomials.PACKED_NORMALIZE_MIN):
+        pool = [Monomial({"p": k, "q": n - 1 - k}) for k in range(n - 1)]
+        pool.append(Monomial({"q": INF}))
+        del built[:]
+        kept = normalize_antichain(pool)
+        assert len(built) == (n >= monomials.PACKED_NORMALIZE_MIN)
+        assert set(kept) == reference_antichain(pool) == set(pool[:-1])
+    pairs = monomials.PACKED_MERGE_PAIRS
+    a = {Monomial({f"a{i}": 1, "z": 2}): 1 for i in range(pairs // 2)}
+    for size in (1, 2):
+        b = {Monomial({"z": 1}): 1, Monomial({"b": 1}): 1} if size == 2 else {Monomial({"z": 3}): 1}
+        del built[:]
+        merged = merge_antichains(a, b)
+        assert len(built) == (len(a) * len(b) >= pairs)
+        assert set(merged) == reference_antichain(list(a) + list(b))
 
 
 # --- batch printing -------------------------------------------------------------
