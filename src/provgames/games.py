@@ -424,28 +424,26 @@ def absorption_dominates(s1, s2, game):
     infinite play in s1 forces one in s2."""
     if s1.owner != s2.owner or s1.root != s2.root:
         raise ProvError("absorption compares strategies of one player from one root")
-    o1 = s1.outcome_counts(game)
-    o2 = s2.outcome_counts(game)
-    for t in set(o1) | set(o2):
-        if not ext_le(o1.get(t, 0), o2.get(t, 0)):
-            return False
-    if s1.admits_infinite and not s2.admits_infinite:
-        return False
-    return True
+    return _absorbs((s1.outcome_counts(game), s1.admits_infinite),
+                    (s2.outcome_counts(game), s2.admits_infinite))
+
+
+def _absorbs(a, b):
+    """`absorption_dominates` on (outcome counts, admits_infinite) pairs.  An
+    outcome that a has no play to needs no check: 0 <= every count."""
+    (o1, infinite1), (o2, infinite2) = a, b
+    return (infinite2 or not infinite1) and all(ext_le(c, o2.get(t, 0)) for t, c in o1.items())
 
 
 def absorption_dominant_flags(strategies, game):
-    """Per-strategy flags: maximal w.r.t. strict absorption by another."""
-    flags = []
-    for s in strategies:
-        dominated = any(
-            other is not s
-            and absorption_dominates(other, s, game)
-            and not absorption_dominates(s, other, game)
-            for other in strategies
-        )
-        flags.append(not dominated)
-    return flags
+    """Per-strategy flags: maximal w.r.t. strict absorption by another.
+    Each strategy's outcome counts are computed once, not once per compare."""
+    if len({(s.owner, s.root) for s in strategies}) > 1:
+        raise ProvError("absorption compares strategies of one player from one root")
+    keys = [(s.outcome_counts(game), s.admits_infinite) for s in strategies]
+    return [not any(j != i and _absorbs(other, key) and not _absorbs(key, other)
+                    for j, other in enumerate(keys))
+            for i, key in enumerate(keys)]
 
 
 def truncate(game, basic, n, boundary="zero"):

@@ -34,7 +34,8 @@ from .errors import (
 from .games import TERMINAL, BasicValuation, GameGraph, acyclic_valuation
 from .monomials import negate_token
 from .semirings import get_semiring
-from .solver import EquationSystem, _components, _support, build_system, kleene_lfp
+from .solver import (EquationSystem, _components, _support, _support_graph, build_system,
+                     kleene_lfp)
 
 # --- abstract syntax --------------------------------------------------------
 
@@ -974,11 +975,9 @@ def _tuple_on_cycle(system, auxiliary):
     through a tuple variable.  The tuple variable whose body made the
     auxiliary may lie on no cycle: the auxiliaries of a shared subformula
     serve several bodies."""
-    zero = system.handle.zero
-    support = _support(system)
-    for keep in (lambda coeff, dep: coeff != zero and dep in support, lambda coeff, dep: True):
-        successors = {var: [dep for coeff, dep in rhs[1] if keep(coeff, dep)]
-                      if rhs[0] != "const" else () for var, rhs in system.equations.items()}
+    dependencies = {var: [dep for _, dep in rhs[1]] if rhs[0] != "const" else ()
+                    for var, rhs in system.equations.items()}
+    for successors in (_support_graph(system, _support(system), system.equations), dependencies):
         for component in _components(successors)[0]:
             if auxiliary in component and len(component) > 1:
                 return next(var for var in component if not var.startswith("#"))

@@ -1,12 +1,15 @@
 """Polynomial equation systems for games and their least and greatest
 fixed points.
 
-The solver splits a system into strongly connected components of its
-dependency graph (one iterative Tarjan pass) and solves them bottom-up, so
-that every component sees its dependencies already solved, as constants.
-A component without a cycle needs one evaluation.  A cyclic component of
-n variables is solved by a method with an argument; a semiring that has
-none raises `ProvError`.
+One driver splits a system into the strongly connected components of its
+dependency graph (one iterative Tarjan pass) and solves them bottom-up,
+each reading its solved dependencies as constants: by Bekic's lemma
+("Definable operations in general algebras, and the theory of automata and
+flowcharts", 1969), the least (greatest) solutions of the components make
+up the system's lfp (gfp).  A component without a cycle needs one
+evaluation; a cyclic one of n variables gets the method of its semiring and
+direction argued below (none: `ProvError`), and the support and degree
+methods walk the components of a graph on its members the same way.
 
 * Absorptive semirings, lfp: sweeps from 0 (see below).  The k-th Kleene
   iterate at x sums the values of x's derivation trees of height at most k.
@@ -29,7 +32,7 @@ none raises `ProvError`.
   worklist.  A support variable on a cycle of support variables (edges
   through nonzero coefficients) is inf in natinf, and in nat and natpoly no
   lfp exists (`NoConvergence` names it; see `kleene_lfp`).  Every other
-  variable is 0 or one evaluation, in the order of the support graph.
+  variable is 0 or one evaluation.
 * natinf, gfp: the same with the greatest support S, the greatest set
   where a constant is nonzero, a sum has a term with a nonzero coefficient
   and a variable in S, and a product only nonzero coefficients and
@@ -68,25 +71,24 @@ none raises `ProvError`.
   part of f(x) is J*x^(k) + [f(x^(<k))]^(k), J the Jacobian at x^(0): a
   sum's entry is the constant term of the coefficient, a product's that
   times the level-0 values of the other factors, in N u {inf}.  Level 0 is
-  the natinf system of the constant terms, solved by its support (lfp) or
-  greatest support (gfp).  Level k >= 1 is y = J*y + [f(x^(<k))]^(k), a
-  natinf system per monomial, solved in one pass over the components of J
-  (edges through nonzero entries).  The least solution puts inf on every
-  monomial fed into a cyclic component (each trip round adds the input
-  again); the greatest puts inf on every monomial of degree k over T (no
-  complementary pair in seriesdual), the degree-k slice of the top, at every
-  variable that reaches a cycle.  The rest is one evaluation each.  Taking
-  the least solution on every level gives a fixed point W, so the lfp L
-  lies below W; L's level 0 solves level 0, so it equals W's, then L's
-  level 1 solves W's level-1 system, and so on: L = W.  The gfp likewise.
+  the natinf system of the constant terms, solved by the support method.
+  Level k >= 1 is y = J*y + [f(x^(<k))]^(k), a natinf system per monomial,
+  solved in one pass over the components of J (edges through nonzero
+  entries), each reading the level k of those before it through f.  The
+  least solution puts inf on every monomial fed into a cyclic component
+  (each trip round adds the input again); the greatest puts inf on every
+  monomial of degree k over T (no complementary pair in seriesdual), the
+  degree-k slice of the top, at every variable that reaches a cycle of J
+  (`high`, solved variables included), after a `ProvError` if that slice
+  can have more than `MAX_TOP_SLICE` monomials.  The rest is one evaluation
+  each.  Taking the least solution on every level gives a fixed point W, so
+  the lfp L lies below W; L's level 0 solves level 0, so it equals W's,
+  then L's level 1 solves W's level-1 system, and so on: L = W.  The gfp
+  likewise.
 
 Kleene iteration on a cyclic component is chaotic iteration in the sense of
 Cousot and Cousot ("Automatic synthesis of optimal invariant assertions",
-1977): one worklist loop with two schedules.  A round visits the members in
-the reverse of the order the search reached them, dependencies first, and
-evaluates a member only when a dependency in the component changed since
-its own last evaluation, since otherwise its value is its right-hand side
-already.  The loop ends with a round that changes nothing.  The least fixed
+1977): `_kleene` is one worklist loop with two schedules.  The least fixed
 points of the absorptive semirings and of whypoly take Gauss-Seidel sweeps,
 which write each new value at once.  Start from x = 0, which lies below
 f(0) and below every fixed point y.  A write x_v := f_v(x) keeps x <= y, as
@@ -109,7 +111,7 @@ the next round evaluates their users; every other member would reproduce
 its value, so every iterate, marker included, is the one full evaluation
 gives.
 
-Every method ends with one full application of the system, which must
+The driver ends with one full application of the system, which must
 reproduce the result (`verified`).  `iterations` counts the sweeps and the
 Jacobi steps inside cyclic components, summed over components.  `saturated`
 says that an infinite limit was used: the infinitary power changed an
@@ -122,14 +124,15 @@ degree bound.  Sums and products mark their result when an operand is
 marked or a product drops a monomial, so at a fixed point a variable is
 marked exactly when it depends, through a chain of equations, on an
 equation whose evaluation at the solution drops a monomial or reads a
-marked constant or coefficient.  The degree levels find those equations in
-one evaluation at the unmarked solution and spread the marks backwards.
+marked constant or coefficient.  The degree levels evaluate the members at
+their unmarked solution; each reaches every other, so one mark marks all.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations_with_replacement
+from functools import cached_property, partial, reduce
+from itertools import chain, combinations_with_replacement
+from math import comb
 
 from .errors import NoConvergence, NotFullyOmegaContinuous, ProvError
 from .games import TERMINAL
@@ -137,6 +140,12 @@ from .infinity import INF, ext_add
 from .monomials import ONE_MONOMIAL, Monomial
 from .poly import BOOLPOLY, DUALNAT, WHYPOLY, Polynomial
 from .semirings import NatInfSemiring
+
+_NATINF = NatInfSemiring()
+
+# The most monomials of degree D over the tokens T that the series gfp builds
+# its top from: C(|T|+D-1, D), 17 550 for 24 tokens and 766 480 for 64 at D = 4.
+MAX_TOP_SLICE = 20_000
 
 
 @dataclass
@@ -176,7 +185,7 @@ class EquationSystem:
     @classmethod
     def _trusted(cls, handle, equations):
         """Trusted constructor: takes `equations` over without the checks of
-        `__init__`, for `build_system`, whose equations pass them."""
+        `__init__`, for `build_system` and the degree levels, which built them."""
         system = object.__new__(cls)
         system.handle = handle
         system.equations = equations
@@ -214,20 +223,11 @@ class EquationSystem:
 
     def tokens(self):
         """All indeterminates occurring in polynomial constants/coefficients."""
-        toks = set()
-
-        def collect(value):
-            if isinstance(value, Polynomial):
-                for m in value.monos:
-                    toks.update(m.tokens())
-
-        for rhs in self.equations.values():
-            if rhs[0] == "const":
-                collect(rhs[1])
-            else:
-                for coeff, _ in rhs[1]:
-                    collect(coeff)
-        return toks
+        values = [body for tag, body in self.equations.values() if tag == "const"]
+        values += [coeff for tag, body in self.equations.values() if tag != "const"
+                   for coeff, _ in body]
+        return {t for value in values if isinstance(value, Polynomial)
+                for m in value.monos for t in m.tokens()}
 
 
 def build_system(game, basic):
@@ -318,17 +318,35 @@ def _is_cyclic(component, successors):
     return len(component) > 1 or component[0] in successors[component[0]]
 
 
-def _users(equations, variables):
-    """For each of the variables, the ones among them whose right-hand side
-    reads it."""
-    users = {var: [] for var in variables}
-    for var in variables:
-        tag, body = equations[var]
-        if tag != "const":
-            for _, dep in body:
-                if dep in users:
-                    users[dep].append(var)
-    return users
+class _Solve:
+    """What a solve computes once for all its components, when first needed."""
+
+    def __init__(self, system):
+        self.system = system
+        self.high = set()  # series gfp: the variables known to reach a cycle of J
+
+    @cached_property
+    def tokens(self):
+        return sorted(self.system.tokens())
+
+    @cached_property
+    def top_slices(self):
+        """For k = 1..D, at index k - 1, coefficient inf on every monomial of
+        degree k over the tokens (without a complementary pair in a dual
+        kind): the degree-k part of the greatest element over them."""
+        handle, tokens = self.system.handle, self.tokens
+        kind, degree = handle.kind, handle.kind.degree_bound
+        count = comb(len(tokens) + degree - 1, degree)
+        if count > MAX_TOP_SLICE:
+            raise ProvError(f"the greatest fixed point in {handle.name} needs up to {count} "
+                            f"monomials of degree {degree} over {len(tokens)} tokens, "
+                            f"more than {MAX_TOP_SLICE}")
+        slices = []
+        for k in range(1, degree + 1):
+            monos = map(Monomial, map(Counter, combinations_with_replacement(tokens, k)))
+            slices.append({m: INF for m in monos
+                           if not (kind.dual and m.has_complementary_pair())})
+        return slices
 
 
 def _kleene(system, values, component, limit, in_place):
@@ -336,11 +354,16 @@ def _kleene(system, values, component, limit, in_place):
     in `values`, stopping after a round that changes nothing.  A round takes
     the members in the reverse of the order the search reached them,
     dependencies first, and evaluates one only when a dependency in the
-    component changed since its own last evaluation.  `in_place` writes each
-    new value at once (a Gauss-Seidel sweep); otherwise the round is a
-    Jacobi step, which writes its changes after the round.  Returns the
-    number of rounds and whether the last one changed nothing."""
-    users = _users(system.equations, component)
+    component changed since its own last evaluation (else its value is its
+    right-hand side already).  `in_place` writes each new value at once (a
+    Gauss-Seidel sweep); otherwise the round is a Jacobi step, which writes
+    its changes after the round.  Returns the number of rounds and whether
+    the last one changed nothing."""
+    users = {var: [] for var in component}
+    for var in component:
+        for _, dep in system.equations[var][1]:
+            if dep in users:
+                users[dep].append(var)
     order = component[::-1]
     pending = set(component)
     for count in range(1, limit + 1):
@@ -365,7 +388,39 @@ def _kleene(system, values, component, limit, in_place):
     return limit, False
 
 
-def _support(system, greatest=False):
+def _kleene_method(solve, values, component, descending, may_diverge=False, whypoly=False):
+    """Kleene iteration from 0 within n*factor + 1 sweeps, factor |T|+1 for
+    whypoly and 1 elsewhere.  With `descending`, Naaf's closed form in
+    Jacobi steps: n steps from the top, the infinitary power, then at most
+    n + 1 steps.  With `may_diverge` (the n+1 rule), Jacobi steps, and a
+    component that still changes has no fixed point: `NoConvergence`.
+    Elsewhere the method's argument rules that out (`ProvError`)."""
+    system = solve.system
+    handle = system.handle
+    n = len(component)
+    values.update(dict.fromkeys(component, handle.top if descending else handle.zero))
+    in_place = not (descending or may_diverge)
+    iterations, saturated = 0, False
+    if descending:
+        iterations, repeated = _kleene(system, values, component, n, in_place)
+        if repeated:
+            return iterations, False
+        powered = {var: handle.pow_inf(values[var]) for var in component}
+        saturated = not all(_unchanged(powered[var], values[var]) for var in component)
+        values.update(powered)
+    limit = n * (len(solve.tokens) + 1 if whypoly else 1) + 1
+    steps, repeated = _kleene(system, values, component, limit, in_place)
+    iterations += steps
+    if not repeated:
+        template = (f"no fixed point: the component of {n} variables containing {{}} "
+                    f"still changes after {steps} steps in {handle.name}")
+        if may_diverge:
+            raise NoConvergence(template, component[0])
+        raise ProvError(template.format(repr(component[0])))
+    return iterations, saturated
+
+
+def _support(system, greatest=False, equations=None):
     """The lfp support of a system over a positive semiring (no zero sums,
     no zero divisors): the least set of variables where a constant is
     nonzero, a sum has one term with a nonzero coefficient and a variable in
@@ -374,12 +429,13 @@ def _support(system, greatest=False):
     least set where a constant is zero, a sum has every variable behind a
     nonzero coefficient in it, and a product a zero coefficient or one
     variable in it, so one worklist computes both, with the roles of sums
-    and products exchanged."""
+    and products exchanged.  `equations` stand in for the system's."""
     zero = system.handle.zero
-    users = {var: [] for var in system.equations}
+    equations = system.equations if equations is None else equations
+    users = {var: [] for var in equations}
     missing = {}
     ready = []
-    for var, (tag, body) in system.equations.items():
+    for var, (tag, body) in equations.items():
         if tag == "const":
             if (body == zero) == greatest:
                 ready.append(var)
@@ -404,205 +460,149 @@ def _support(system, greatest=False):
             missing[user] -= 1
             if missing[user] == 0:
                 ready.append(user)
-    return set(system.equations) - found if greatest else found
+    return set(equations) - found if greatest else found
 
 
-def _support_fixpoint(system, greatest):
-    """Zero outside the support (the greatest one with `greatest`), top on
-    the cycles of the support graph (edges through nonzero coefficients into
-    the support), and one evaluation elsewhere, in component order: the lfp
-    and, in natinf, the gfp (see the module docstring).  Returns (values,
-    0 iterations, saturated): a least fixed point with top on a cycle."""
+def _support_method(solve, values, component, descending):
+    """Zero outside the component's support (the greatest one with
+    `descending`), top on the cycles of its support graph, and one
+    evaluation elsewhere: the lfp and, in natinf, the gfp (see the module
+    docstring).  Saturated: a least fixed point with top on a cycle."""
+    system = solve.system
     handle = system.handle
     zero = handle.zero
-    support = _support(system, greatest)
-    successors = {
-        var: [dep for coeff, dep in rhs[1] if coeff != zero and dep in support]
-        if rhs[0] != "const" else ()
-        for var, rhs in system.equations.items() if var in support
-    }
-    components, on_cycle = _components(successors)
+    # The component's equations, with its solved dependencies as constants.
+    members = set(component)
+    equations = {var: system.equations[var] if var in members else ("const", values[var])
+                 for var in chain(component, (dep for var in component
+                                              for _, dep in system.equations[var][1]))}
+    support = _support(system, descending, equations) & members
+    successors = _support_graph(system, support, component)
+    parts, on_cycle = _components(successors)
     if on_cycle is not None and not handle.flags.omega_continuous:
         raise NoConvergence(
             "no least fixed point: {} is nonzero and lies on a cycle of "
-            f"nonzero variables, so its value grows without bound in {handle.name}", on_cycle
-        )
-    values = dict.fromkeys(system.equations, zero)
-    for component in components:
-        if _is_cyclic(component, successors):
-            values.update(dict.fromkeys(component, handle.top))
-            continue
-        var = component[0]
-        values[var] = system.evaluate(var, values)
-    return values, 0, on_cycle is not None and not greatest
+            f"nonzero variables, so its value grows without bound in {handle.name}",
+            # Named by one search over the whole system's support graph, so
+            # that the name does not depend on the component that met a cycle.
+            _components(_support_graph(system, _support(system), system.equations))[1])
+    values.update(dict.fromkeys(component, zero))
+    for part in parts:
+        if _is_cyclic(part, successors):
+            values.update(dict.fromkeys(part, handle.top))
+        else:
+            values[part[0]] = system.evaluate(part[0], values)
+    return 0, on_cycle is not None and not descending
 
 
-def _kleene_components(system, start, factor, descending=False, may_diverge=False):
-    """Kleene iteration from `start` on each cyclic component, in component
-    order, within n*factor + 1 sweeps on a component of n variables.  With
-    `descending`, Naaf's closed form of the module docstring in Jacobi
-    steps: n steps from the top, the infinitary power, then at most
-    n*factor + 1 steps.  With `may_diverge` (the n+1 rule), Jacobi steps,
-    and a component that still changes has no fixed point: `NoConvergence`.
-    Elsewhere the method's argument rules that out (`ProvError`).  Returns
-    (values, iterations, saturated)."""
-    handle = system.handle
-    successors = {var: [dep for _, dep in rhs[1]] if rhs[0] != "const" else ()
-                  for var, rhs in system.equations.items()}
-    values = dict.fromkeys(system.equations)
-    iterations = 0
-    saturated = False
-    in_place = not (descending or may_diverge)
-    for component in _components(successors)[0]:
-        if not _is_cyclic(component, successors):
-            var = component[0]
-            values[var] = system.evaluate(var, values)
-            continue
-        n = len(component)
-        values.update(dict.fromkeys(component, start))
-        limit = n * factor + 1
-        if descending:
-            steps, repeated = _kleene(system, values, component, n, in_place)
-            iterations += steps
-            if repeated:
-                continue
-            for var in component:
-                value = values[var]
-                values[var] = handle.pow_inf(value)
-                saturated = saturated or not _unchanged(values[var], value)
-        steps, repeated = _kleene(system, values, component, limit, in_place)
-        iterations += steps
-        if not repeated:
-            template = (f"no fixed point: the component of {n} variables containing {{}} "
-                        f"still changes after {steps} steps in {handle.name}")
-            if may_diverge:
-                raise NoConvergence(template, component[0])
-            raise ProvError(template.format(repr(component[0])))
-    return values, iterations, saturated
+def _support_graph(system, support, variables):
+    """The support graph on those of `variables` in `support`, in their
+    order: edges through nonzero coefficients into the support."""
+    zero = system.handle.zero
+    equations = system.equations
+    return {var: [dep for coeff, dep in equations[var][1] if coeff != zero and dep in support]
+            if equations[var][0] != "const" else () for var in variables if var in support}
 
 
 def _constant_term(value):
     return value.monos.get(ONE_MONOMIAL, 0)
 
 
-def _degree_slice(kind, tokens, k):
-    """Coefficient inf on every monomial of degree k over the tokens (without
-    a complementary pair in a dual kind): the degree-k part of the greatest
-    element over that token space."""
-    monos = (Monomial(Counter(combo)) for combo in combinations_with_replacement(tokens, k))
-    return {m: INF for m in monos if not (kind.dual and m.has_complementary_pair())}
-
-
-def _series_levels(system, descending):
-    """Exact lfp or gfp of a truncated-series system by degree levels, with
-    the truncated markers spread as the module docstring says.  Returns
-    (values, 0 iterations, saturated)."""
-    handle = system.handle
-    kind = handle.kind
+def _degree_levels(solve, values, component, descending):
+    """The component's exact lfp or gfp in a truncated series by degree
+    levels, with the truncated markers of the module docstring.  Level k
+    evaluates the components of J in order, each after level k of those
+    before it is written, so the degree-k part of its values is its input."""
+    system = solve.system
+    kind = system.handle.kind
     equations = system.equations
-    natinf = NatInfSemiring()
-    base = EquationSystem(natinf, {
-        var: ("const", _constant_term(body)) if tag == "const"
-        else (tag, [(_constant_term(coeff), dep) for coeff, dep in body])
-        for var, (tag, body) in equations.items()
-    })
-    level0, _, saturated = _support_fixpoint(base, descending)
+    members = set(component)
+    base = EquationSystem._trusted(_NATINF, {var: (equations[var][0], [
+        (_constant_term(coeff), dep) for coeff, dep in equations[var][1]]) for var in component})
+    level0 = {dep: _constant_term(values[dep])
+              for var in component for _, dep in equations[var][1] if dep not in members}
+    _, saturated = _support_method(_Solve(base), level0, component, descending)
     system.evaluations += base.evaluations
-    jacobian = {}
-    for var, (tag, body) in equations.items():
-        row = {}
-        if tag == "sum":
-            for coeff, dep in body:
-                row[dep] = ext_add(row.get(dep, 0), _constant_term(coeff))
-        elif tag == "prod":
-            factors = [natinf.mul(_constant_term(coeff), level0[dep]) for coeff, dep in body]
-            for i, (coeff, dep) in enumerate(body):
-                entry = _constant_term(coeff)
-                for j, factor in enumerate(factors):
-                    if j != i:
-                        entry = natinf.mul(entry, factor)
-                row[dep] = ext_add(row.get(dep, 0), entry)
-        jacobian[var] = {dep: entry for dep, entry in row.items() if entry != 0}
-    components = _components(jacobian)[0]
-    cyclic = [_is_cyclic(component, jacobian) for component in components]
-    high = set()  # the variables that reach a cycle of J
-    if descending:
-        for component, cycle in zip(components, cyclic):
-            if cycle or any(dep in high for var in component for dep in jacobian[var]):
-                high.update(component)
-        tokens = sorted(system.tokens())
-    x = {var: {ONE_MONOMIAL: c} if c != 0 else {} for var, c in level0.items()}
-    for k in range(1, kind.degree_bound + 2):
-        # Level k reads f(x^(<k)); the last evaluation, at the unmarked
-        # solution, finds the equations that drop a monomial.
-        out = system.apply({var: Polynomial._canonical(kind, monos, False)
-                            for var, monos in x.items()})
-        if k > kind.degree_bound:
-            break
-        level = {}
-        top_slice = None
-        for component, cycle in zip(components, cyclic):
-            if component[0] in high:
-                if top_slice is None:
-                    top_slice = _degree_slice(kind, tokens, k)
-                level.update(dict.fromkeys(component, top_slice))
-                continue
-            members = set(component)
-            fed = {}
-            for var in component:
-                for m, c in out[var].monos.items():
-                    if m.degree() == k:
-                        fed[m] = ext_add(fed.get(m, 0), c)
-                for dep, entry in jacobian[var].items():
-                    if dep not in members:
-                        for m, c in level[dep].items():
-                            fed[m] = ext_add(fed.get(m, 0), natinf.mul(entry, c))
-            if cycle and fed:
-                fed = dict.fromkeys(fed, INF)
-                saturated = True
-            level.update(dict.fromkeys(component, fed))
-        x = {var: {**monos, **level[var]} for var, monos in x.items()}
-    users = _users(equations, equations)
-    marked = {var for var, value in out.items() if value.truncated}
-    stack = list(marked)
-    while stack:
-        for user in users[stack.pop()]:
-            if user not in marked:
-                marked.add(user)
-                stack.append(user)
-    values = {var: rhs[1] if rhs[0] == "const"
-              else Polynomial._canonical(kind, x[var], var in marked)
-              for var, rhs in equations.items()}
-    return values, 0, saturated
+    jacobian = {}  # the edges of J: its nonzero entries
+    for var in component:
+        tag, body = equations[var]
+        factors = [_constant_term(coeff) != 0 and level0[dep] != 0 for coeff, dep in body]
+        jacobian[var] = [dep for i, (coeff, dep) in enumerate(body) if _constant_term(coeff) != 0
+                         and (tag == "sum" or all(factors[:i] + factors[i + 1:]))]
+    inner = {var: [dep for dep in deps if dep in members] for var, deps in jacobian.items()}
+    parts = _components(inner)[0]
+    cyclic = [_is_cyclic(part, inner) for part in parts]
+    for part, cycle in zip(parts, cyclic):
+        if descending and (cycle or any(solve.high.intersection(jacobian[var]) for var in part)):
+            solve.high.update(part)
+    for var in component:
+        monos = {ONE_MONOMIAL: level0[var]} if level0[var] != 0 else {}
+        values[var] = Polynomial._canonical(kind, monos, False)
+    for k in range(1, kind.degree_bound + 1):
+        for part, cycle in zip(parts, cyclic):
+            if part[0] in solve.high:
+                fed = solve.top_slices[k - 1]
+            else:
+                fed = {}
+                for var in part:
+                    for m, c in system.evaluate(var, values).monos.items():
+                        if m.degree() == k:
+                            fed[m] = ext_add(fed.get(m, 0), c)
+                if cycle and fed:
+                    fed = dict.fromkeys(fed, INF)
+                    saturated = True
+            for var in part:
+                values[var] = Polynomial._canonical(kind, {**values[var].monos, **fed}, False)
+    # One evaluation at the unmarked solution finds the marks.  A member that
+    # reads a marked value marks the members that reach it: all of them.
+    marked = any(system.evaluate(var, values).truncated for var in component)
+    values.update({var: Polynomial._canonical(kind, values[var].monos, marked)
+                   for var in component})
+    return 0, saturated
 
 
-def _method(handle, descending):
-    """The method of the module docstring for the semiring and the direction
-    (`descending` for the gfp), as a function of the system that returns
-    (values, iterations, saturated); None when the semiring has none."""
-    flags = handle.flags
-    kind = getattr(handle, "kind", None)
-    start = handle.top if descending else handle.zero
+def _method_class(handle):
+    """The semiring's class in `_METHODS`, as the module docstring sorts them."""
+    flags, kind = handle.flags, getattr(handle, "kind", None)
     if kind is not None and kind.degree_bound is not None:  # series:D, seriesdual:D
-        return lambda system: _series_levels(system, descending)
-    if start is None:
-        return None
+        return "series"
     if flags.absorptive:
-        return lambda system: _kleene_components(system, start, 1, descending)
+        return "absorptive"
     if flags.positive and not flags.idempotent_add:  # nat, natpoly, natinf
-        return lambda system: _support_fixpoint(system, descending)
-    if kind in (DUALNAT, BOOLPOLY):  # the n+1 rule
-        return lambda system: _kleene_components(system, start, 1, may_diverge=True)
-    if kind == WHYPOLY:
-        return lambda system: _kleene_components(system, start, len(system.tokens()) + 1)
-    return None
+        return "support"
+    return {DUALNAT: "n+1", BOOLPOLY: "n+1", WHYPOLY: "whypoly"}.get(kind)
 
 
-def _exact_result(system, method):
-    """The SolveResult of an exact method, after one full application of
-    the system has reproduced the values."""
+# The method of a cyclic component by semiring class and direction (True for
+# the gfp): method(solve, values, component, descending) writes the values of
+# the component and returns its iterations and whether it saturated.
+_METHODS = {
+    ("absorptive", False): _kleene_method, ("absorptive", True): _kleene_method,
+    ("support", False): _support_method, ("support", True): _support_method,
+    ("n+1", False): partial(_kleene_method, may_diverge=True),
+    ("whypoly", False): partial(_kleene_method, whypoly=True),
+    ("series", False): _degree_levels, ("series", True): _degree_levels,
+}
+
+
+def _exact_result(system, method, descending):
+    """The SolveResult of the driver: the components of the variables other
+    than constants bottom-up, an acyclic one evaluated, a cyclic one by the
+    method, then one full application that must reproduce the values."""
     evaluated_before = system.evaluations
-    values, iterations, saturated = method(system)
+    equations = system.equations
+    values = {var: rhs[1] if rhs[0] == "const" else None for var, rhs in equations.items()}
+    successors = {var: [dep for _, dep in rhs[1] if equations[dep][0] != "const"]
+                  for var, rhs in equations.items() if rhs[0] != "const"}
+    solve = _Solve(system)
+    iterations, saturated = 0, False
+    for component in _components(successors)[0]:
+        if _is_cyclic(component, successors):
+            steps, saturates = method(solve, values, component, descending)
+            iterations += steps
+            saturated = saturated or saturates
+        else:
+            values[component[0]] = system.evaluate(component[0], values)
     out = system.apply(values)
     for var, value in values.items():
         if not _unchanged(out[var], value):
@@ -633,10 +633,10 @@ def kleene_lfp(system):
     because pumping a tree keeps its tokens and so its value nonzero.
     """
     handle = system.handle
-    method = _method(handle, descending=False)
+    method = _METHODS.get((_method_class(handle), False))
     if method is None:
         raise ProvError(f"no least-fixed-point method for semiring {handle.name!r}")
-    return _exact_result(system, method)
+    return _exact_result(system, method, False)
 
 
 def kleene_gfp(system):
@@ -647,11 +647,11 @@ def kleene_gfp(system):
         raise NotFullyOmegaContinuous(
             f"semiring {handle.name!r} does not support greatest fixed points"
         )
-    method = _method(handle, descending=True)
+    method = _METHODS.get((_method_class(handle), True))
     if method is None:
         raise NotFullyOmegaContinuous(f"no greatest-fixed-point method for semiring "
                                       f"{handle.name!r}")
-    return _exact_result(system, method)
+    return _exact_result(system, method, True)
 
 
 def solve_game(game, basic, fixpoint="mu"):

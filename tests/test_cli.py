@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from provgames import cli, gamefile
+from provgames import cli, gamefile, solver
 from provgames.cli import main
 from provgames.gamefile import parse_game_file
 from provgames.games import acyclic_valuation
@@ -347,6 +347,25 @@ def test_census_counts_before_it_builds(capsys, tmp_path, depth, count):
     assert (code, out) == (3, "")
     assert err == (f"error: census would list {count} strategies, "
                    f"more than {cli.CENSUS_LIMIT}\n")
+
+
+def test_series_gfp_counts_the_top_slice_before_it_builds(capsys, tmp_path):
+    # An all-player0 cycle of 64 positions, each with its own terminal: the
+    # gfp needs the degree-4 monomials over 64 tokens, C(67, 4) of them.
+    n = 64
+    lines = [f"position v{i} player0" for i in range(n)]
+    lines += [f"position t{i} terminal" for i in range(n)]
+    lines += [f"move v{i} v{(i + 1) % n}" for i in range(n)]
+    lines += [f"move v{i} t{i}" for i in range(n)]
+    path = tmp_path / "cycle.game"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve-system", str(path), "--semiring", "series:4",
+                         "--fixpoint", "nu")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == ("error: the greatest fixed point in series(D=4) needs up to 766480 "
+                   f"monomials of degree 4 over 64 tokens, more than {solver.MAX_TOP_SLICE}\n")
 
 
 def test_census_lists_up_to_its_limit(capsys, tmp_path):

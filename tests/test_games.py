@@ -346,6 +346,23 @@ def test_absorption_dominance_matches_nu_mu_order():
                 assert si.leq(mu2, mu1)
 
 
+def test_dominant_flags_match_the_pairwise_definition():
+    # Maximal under strict absorption, by absorption_dominates on each pair.
+    rng = make_rng(salt=71)
+    flagged = 0
+    for _ in range(100):
+        game = random_cyclic_game(rng, max_positions=6, max_out=3)
+        root = rng.choice([v for v in game.owners if not game.is_terminal(v)])
+        strategies = enumerate_strategies(game, rng.randint(0, 1), root, depth=5)
+        expected = [not any(absorption_dominates(other, s, game)
+                            and not absorption_dominates(s, other, game)
+                            for other in strategies if other is not s)
+                    for s in strategies]
+        assert absorption_dominant_flags(strategies, game) == expected
+        flagged += not all(expected)
+    assert flagged > 10
+
+
 def _reference_truncated_strategies(game, basic, player, root, n, max_nodes=100_000):
     """Reference for enumerate_strategies with depth n: the strategies of
     the whole n-truncation from (root,), with the counts of its path
