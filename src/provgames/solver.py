@@ -131,7 +131,7 @@ their unmarked solution; each reaches every other, so one mark marks all.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import NoConvergence, NotFullyOmegaContinuous, ProvError
@@ -267,49 +267,49 @@ def _components(successors):
     the graph has no cycle).  Each component is a list of its members in the
     order the search reached them, and comes after every component it
     reaches, so solving them in this order sees every dependency solved."""
-    index = {}
-    low = {}
+    index = {}  # a finished vertex's index is `done`, above every other
+    low = []  # by index
     stack = []
-    on_stack = set()
     components = []
     first_on_cycle = None
+    done = len(successors)
     for root in successors:
         if root in index:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = len(low)
+        low.append(len(low))
         stack.append(root)
-        on_stack.add(root)
-        path = [(root, iter(successors[root]))]
+        path = [(root, index[root], iter(successors[root]))]
         while path:
-            var, deps = path[-1]
+            var, at_var, deps = path[-1]
             for dep in deps:
-                if dep not in index:
-                    index[dep] = low[dep] = len(index)
+                at = index.get(dep)
+                if at is None:
+                    index[dep] = at = len(low)
+                    low.append(at)
                     stack.append(dep)
-                    on_stack.add(dep)
-                    path.append((dep, iter(successors[dep])))
+                    path.append((dep, at, iter(successors[dep])))
                     break
-                if dep in on_stack:
-                    # The first such edge leads back into the search path: a
-                    # vertex on the stack but off the path has a smaller
-                    # low link only through an earlier edge of this kind.
+                if at < done:
+                    # The first edge to a vertex on the stack leads back into
+                    # the search path: a vertex on the stack but off the path
+                    # has a smaller low link only through an earlier such edge.
                     if first_on_cycle is None:
                         first_on_cycle = dep
-                    if index[dep] < low[var]:
-                        low[var] = index[dep]
+                    if at < low[at_var]:
+                        low[at_var] = at
             else:
                 path.pop()
-                if path and low[var] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[var]
-                if low[var] == index[var]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == var:
-                            break
-                    component.reverse()
+                if path and low[at_var] < low[path[-1][1]]:
+                    low[path[-1][1]] = low[at_var]
+                if low[at_var] == at_var:
+                    at = len(stack) - 1
+                    while stack[at] is not var:
+                        at -= 1
+                    component = stack[at:]
+                    del stack[at:]
+                    for member in component:
+                        index[member] = done
                     components.append(component)
     return components, first_on_cycle
 
@@ -420,7 +420,7 @@ def _kleene_method(solve, values, component, descending, may_diverge=False, whyp
     return iterations, saturated
 
 
-def _support(system, greatest=False, equations=None):
+def _support(system, greatest=False, variables=None, values=None):
     """The lfp support of a system over a positive semiring (no zero sums,
     no zero divisors): the least set of variables where a constant is
     nonzero, a sum has one term with a nonzero coefficient and a variable in
@@ -429,27 +429,33 @@ def _support(system, greatest=False, equations=None):
     least set where a constant is zero, a sum has every variable behind a
     nonzero coefficient in it, and a product a zero coefficient or one
     variable in it, so one worklist computes both, with the roles of sums
-    and products exchanged.  `equations` stand in for the system's."""
+    and products exchanged.  Given `variables`, the set among them, with
+    every other dependency a constant read from `values`."""
     zero = system.handle.zero
-    equations = system.equations if equations is None else equations
-    users = {var: [] for var in equations}
+    equations = system.equations
+    users = {var: [] for var in (equations if variables is None else variables)}
     missing = {}
     ready = []
-    for var, (tag, body) in equations.items():
+    for var in users:
+        tag, body = equations[var]
         if tag == "const":
             if (body == zero) == greatest:
                 ready.append(var)
             continue
-        if tag == "prod" and any(coeff == zero for coeff, _ in body):
+        live = [dep for coeff, dep in body if coeff != zero]
+        if tag == "prod" and len(live) < len(body):  # a zero coefficient
             if greatest:
                 ready.append(var)
             continue
-        live = {dep for coeff, dep in body if coeff != zero}
+        # A dependency that occurs twice counts twice, here and in `users`.
         missing[var] = len(live) if (tag == "prod") != greatest else 1
-        if not missing[var]:
-            ready.append(var)
         for dep in live:
-            users[dep].append(var)
+            if dep in users:
+                users[dep].append(var)
+            elif (values[dep] == zero) == greatest:
+                missing[var] -= 1
+        if missing[var] <= 0:
+            ready.append(var)
     found = set()
     while ready:
         var = ready.pop()
@@ -460,7 +466,7 @@ def _support(system, greatest=False, equations=None):
             missing[user] -= 1
             if missing[user] == 0:
                 ready.append(user)
-    return set(equations) - found if greatest else found
+    return set(users) - found if greatest else found
 
 
 def _support_method(solve, values, component, descending):
@@ -471,12 +477,7 @@ def _support_method(solve, values, component, descending):
     system = solve.system
     handle = system.handle
     zero = handle.zero
-    # The component's equations, with its solved dependencies as constants.
-    members = set(component)
-    equations = {var: system.equations[var] if var in members else ("const", values[var])
-                 for var in chain(component, (dep for var in component
-                                              for _, dep in system.equations[var][1]))}
-    support = _support(system, descending, equations) & members
+    support = _support(system, descending, component, values)
     successors = _support_graph(system, support, component)
     parts, on_cycle = _components(successors)
     if on_cycle is not None and not handle.flags.omega_continuous:
