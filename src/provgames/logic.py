@@ -31,7 +31,7 @@ from .errors import (
     ProvError,
     TrackedFalseLiteral,
 )
-from .games import TERMINAL, BasicValuation, GameGraph, acyclic_valuation
+from .games import TERMINAL, BasicValuation, GameGraph
 from .monomials import negate_token
 from .semirings import get_semiring
 from .solver import (EquationSystem, _components, _support, _support_graph, build_system,
@@ -464,14 +464,6 @@ def make_tracking_interpretation(structure, tracked, handle=None):
 # --- compiling formulas to equation systems ------------------------------------
 
 
-def _resolve(term, env, universe):
-    if term in env:
-        return env[term]
-    if term in universe:
-        return term
-    raise NotSentence(f"unbound variable {term!r}")
-
-
 class _Compiler:
     """Compiles a formula in negation normal form under an interpretation
     into one equation system (its callers convert to NNF once, up front).
@@ -487,10 +479,22 @@ class _Compiler:
     those of a product multiply the coefficient of its first term, and a
     zero one makes the product 0.
 
-    Each key is compiled once, as `build_mc_game` builds each position once,
-    by a depth-first search with a stack of frames (key, operator, iterator
-    over the successors' keys, their right-hand sides so far).  Only keys of
-    a `shared` occurrence can be reached twice: `compiled` keeps those.
+    Each key is compiled at most once, and not at all behind a stop, by a
+    depth-first search with a stack of frames (key, operator, iterator over
+    the successors' keys, their right-hand sides so far, stop).  Only keys
+    of a `shared` occurrence can be reached twice: `compiled` keeps those.
+
+    Without fixed points every right-hand side is a constant, and two laws
+    settle a frame before its last successor: 0 * a = 0 in every semiring,
+    and 1 + a = 1 in an absorptive one.  So a product frame stops at a
+    constant equal to the handle's zero, and in an absorptive semiring a
+    sum frame stops at one equal to its one; the remaining successors are
+    never compiled.  The value is the full fold's.  Only a series kind's
+    `truncated` marker can differ, and only where the full fold would mark
+    a zero product: a zero factor left unmarked is exactly 0, so is the
+    product, and an unmarked zero says so.  With fixed points no frame
+    stops, since skipping an unfolding would change which tuples are
+    reached, and so which components `kleene_lfp` solves or rejects.
 
     Every lfp occurrence is one relation instance, named on first use, with
     one variable `R(a,b)` per tuple the sentence reaches, the value of an
@@ -504,9 +508,12 @@ class _Compiler:
 
     def __init__(self, pi, formula, fixpoints):
         self.pi = pi
-        self.handle = pi.handle
+        handle = self.handle = pi.handle
         self.occurrences = _game_plan(formula, pi.universe)
         self.fixpoints = fixpoints
+        # operator -> the constant that settles its frame, or None
+        self.stops = {"sum": None, "prod": None} if fixpoints else {
+            "sum": handle.one if handle.flags.absorptive else None, "prod": handle.zero}
         self.equations = {}
         self.compiled = {}  # (occurrence index, values) -> right-hand side
         self.instances = {}  # body occurrence -> its relation instance name
@@ -514,10 +521,12 @@ class _Compiler:
         self.pending = []  # (variable, body occurrence, args) not compiled yet
 
     def compile(self, i, values):
-        pi, occurrences, compiled = self.pi, self.occurrences, self.compiled
+        pi, occurrences, compiled, stops = self.pi, self.occurrences, self.compiled, self.stops
         # The current frame; its parents wait on the stack, and the bottom
-        # frame only collects the right-hand side of (i, values).
-        key, op, successors, parts = None, None, iter(((i, values),)), []
+        # frame only collects the right-hand side of (i, values).  A frame
+        # that meets its stop drops its remaining successors, so that the
+        # next pass of the loop finishes it.
+        key, op, successors, parts, stop = None, None, iter(((i, values),)), [], None
         stack = []
         while True:
             for child in successors:
@@ -529,9 +538,10 @@ class _Compiler:
                         raise NotPosLFP("fo_eval handles first-order sentences only")
                     step = occ.step(child[1], pi.universe)
                     if kind == "branch" or kind == "quant":
-                        stack.append((key, op, successors, parts))
+                        stack.append((key, op, successors, parts, stop))
                         key = child if occ.shared else None
-                        op, successors, parts = "sum" if occ.owner == 0 else "prod", iter(step), []
+                        op = "sum" if occ.owner == 0 else "prod"
+                        successors, parts, stop = iter(step), [], stops[op]
                         break
                     if kind == "unfold":
                         rhs = "sum", [(self.handle.one, self.tuple_var(occ, step))]
@@ -542,14 +552,19 @@ class _Compiler:
                     if occ.shared:
                         compiled[child] = rhs
                 parts.append(rhs)
+                if stop is not None and rhs[1] == stop:
+                    successors = ()
+                    break
             else:
                 if not stack:
                     return parts[0]
                 rhs = self.combine(op, parts)
                 if key is not None:
                     compiled[key] = rhs
-                key, op, successors, parts = stack.pop()
+                key, op, successors, parts, stop = stack.pop()
                 parts.append(rhs)
+                if stop is not None and rhs[1] == stop:
+                    successors = ()
 
     def combine(self, op, parts):
         handle = self.handle
@@ -603,8 +618,25 @@ class _Compiler:
 
 
 def fo_eval(pi, sentence):
-    """Compositional semiring value of a first-order sentence."""
-    return _Compiler(pi, to_nnf(sentence), fixpoints=False).compile(0, ())[1]
+    """Compositional semiring value of a first-order sentence.
+
+    The search stops frames early (see `_Compiler`), so it may never reach
+    an occurrence that raises.  The plan is scanned first for the fault a
+    full search would raise first: it reaches the occurrences in plan order,
+    each of them except those below an unfolding, which raises, and those
+    below a quantifier over an empty universe."""
+    compiler = _Compiler(pi, to_nnf(sentence), fixpoints=False)
+    unreached = set()
+    for occ in compiler.occurrences:
+        if occ.parent in unreached or (not pi.universe and occ.parent is not None
+                                       and occ.parent.kind == "quant"):
+            unreached.add(occ)
+        elif occ.kind == "unfold":
+            raise NotPosLFP("fo_eval handles first-order sentences only")
+        elif occ.error is not None:
+            cls, message = occ.error
+            raise cls(message)
+    return compiler.compile(0, ())[1]
 
 
 # --- model-checking games -----------------------------------------------------
@@ -912,11 +944,15 @@ def build_mc_game(universe, formula):
 
 
 def game_eval(pi, sentence, player=0):
-    """Value of the model-checking game at the root, for either player."""
+    """Value of the model-checking game at the root, for either player.
+
+    The game is built whole, so its faults and positions do not depend on
+    the values.  An acyclic game is valued at the root only (`_root_value`),
+    a cyclic one by `kleene_lfp` on its whole equation system."""
     mc = build_mc_game(pi.universe, to_nnf(sentence))
     basic = mc.basic_valuation(pi, player)
     if mc.game.is_acyclic():
-        return acyclic_valuation(mc.game, basic)[mc.root]
+        return _root_value(mc, basic)
     if player == 1:
         raise NotPosLFP(
             "falsifier valuations of fixed-point games are outside the fragment"
@@ -928,6 +964,53 @@ def game_eval(pi, sentence, player=0):
         if exc.variable is None:
             raise
         raise exc.naming(mc.describe(exc.variable)) from None
+
+
+def _root_value(mc, basic):
+    """The value `acyclic_valuation` gives the root of an acyclic game.
+
+    One depth-first search with an explicit stack values the root and what
+    it needs: each position folds its successors' values in order, as
+    `EquationSystem.evaluate` does (a sum at the valuation player's
+    positions, a product at the opponent's, the unit when there are none),
+    and stops at the value that settles the fold, as `_Compiler` does: zero
+    in a product, and one in a sum of an absorptive semiring.  Positions
+    behind a stop are never valued; the others are valued once.  The game
+    has no move values."""
+    handle = basic.handle
+    owners, successors = mc.game.owners, mc.game._succ
+    # owner -> (fold, its unit, the value that settles it or None)
+    rules = {basic.player: (handle.add, handle.zero,
+                            handle.one if handle.flags.absorptive else None),
+             1 - basic.player: (handle.mul, handle.one, handle.zero)}
+    values = dict(basic.f)
+    # The current frame: a position, an iterator over its successors, their
+    # fold so far (None before the first) and its rule.  Its parents wait on
+    # the stack; the bottom frame only collects the root's value.  A frame
+    # that meets its stop drops its remaining successors.
+    pos, todo, acc = None, iter((mc.root,)), None
+    fold = unit = stop = None
+    stack = []
+    while True:
+        for v in todo:
+            value = values.get(v)
+            if value is None:
+                stack.append((pos, todo, acc, fold, unit, stop))
+                pos, todo, acc = v, iter(successors[v]), None
+                fold, unit, stop = rules[owners[v]]
+                break
+            acc = value if acc is None else fold(acc, value)
+            if stop is not None and value == stop:
+                todo = ()
+                break
+        else:
+            if not stack:
+                return acc
+            value = values[pos] = unit if acc is None else acc
+            pos, todo, acc, fold, unit, stop = stack.pop()
+            acc = value if acc is None else fold(acc, value)
+            if stop is not None and value == stop:
+                todo = ()
 
 
 # --- direct posLFP semantics --------------------------------------------------
@@ -981,6 +1064,14 @@ def _tuple_on_cycle(system, auxiliary):
         for component in _components(successors)[0]:
             if auxiliary in component and len(component) > 1:
                 return next(var for var in component if not var.startswith("#"))
+
+
+def _resolve(term, env, universe):
+    if term in env:
+        return env[term]
+    if term in universe:
+        return term
+    raise NotSentence(f"unbound variable {term!r}")
 
 
 def model_check(structure, sentence):

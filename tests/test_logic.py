@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -18,7 +19,7 @@ from provgames.errors import (
     ProvError,
     TrackedFalseLiteral,
 )
-from provgames.games import TERMINAL, GameGraph
+from provgames.games import TERMINAL, GameGraph, acyclic_valuation
 from provgames.infinity import INF
 from provgames.logic import (
     And,
@@ -578,6 +579,98 @@ def test_game_agrees_with_compositional_on_corpus():
     assert count >= 200
 
 
+class _CountingHandle:
+    """A semiring handle that counts its sums and products."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.ops = 0
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def add(self, a, b):
+        self.ops += 1
+        return self._handle.add(a, b)
+
+    def mul(self, a, b):
+        self.ops += 1
+        return self._handle.mul(a, b)
+
+
+@pytest.mark.parametrize("selector", ("bool", "nat", "natinf", "tropical", "series:4",
+                                      "dualnat", "sorpinf", "sorpinfdual"))
+def test_stopped_valuations_equal_the_full_one(selector):
+    # Compositional and game mode stop a product at 0 and an absorptive
+    # sum at 1; `acyclic_valuation` values every position.
+    handle = _CountingHandle(get_semiring(selector))
+    rng = make_rng(salt=66)
+    universe = ("a", "b", "c")
+    samples = [v for v in handle.sample_values() if v != handle.zero]
+    lookups = literals = stopped_ops = full_ops = 0
+    for _ in range(30):
+        f = random_fo_formula(rng, universe, depth=4)
+        # Half of the literals 0 or 1 (`random_interpretation` adds 0).
+        values = random_interpretation(rng, handle, universe,
+                                       pool=[handle.one] * 2 + samples[:2]).values
+        pi = _CountingInterpretation(handle, universe, RELS, values)
+        mc = build_mc_game(universe, to_nnf(f))
+        full = [acyclic_valuation(mc.game, mc.basic_valuation(pi, p))[mc.root] for p in (0, 1)]
+        pi.lookups = 0
+        assert fo_eval(pi, f) == full[0]
+        lookups += pi.lookups
+        literals += sum(lit[0] != "=" for lit in mc.terminal_literals.values())
+        for player in (0, 1):
+            basic = mc.basic_valuation(pi, player)
+            handle.ops = 0
+            assert acyclic_valuation(mc.game, basic)[mc.root] == full[player]
+            full_ops += handle.ops
+            handle.ops = 0
+            assert game_eval(pi, f, player) == full[player]
+            stopped_ops += handle.ops
+    # The stops fired: fewer literals looked up than the games have, and
+    # fewer sums and products than the full valuations.
+    assert lookups < literals
+    assert stopped_ops < full_ops
+
+
+# (universe, true literals, sentence, outcomes in fo_eval and in game_eval
+# for player 0 and player 1): an exception class and message, or 0 or 1.
+STOPPED_FAULTS = [
+    (("a",), (), "E(a,a) & P(x)", [(NotSentence, "unbound variable 'x'")] * 3),
+    (("a",), (), "E(a,a) & (P(y) | [lfp S(x). S(x)](a))",
+     [(NotSentence, "unbound variable 'y'")] * 3),
+    (("a",), (), "E(a,a) & ([lfp S(x). S(x)](a) | P(y))",
+     [(NotPosLFP, "fo_eval handles first-order sentences only")]
+     + [(NotSentence, "unbound variable 'y'")] * 2),
+    (("a", "b"), (), "forall x. (E(x,x) & E(x,d))", [(NotSentence, "unbound variable 'd'")] * 3),
+    (("a",), (("R", ("a",)),), "R(a) | [lfp S(x). S(x)](a)",
+     [(NotPosLFP, "fo_eval handles first-order sentences only"), 1,
+      (NotPosLFP, "falsifier valuations of fixed-point games are outside the fragment")]),
+    ((), (), "(exists x. E(x,x)) & P(c)", [(NotSentence, "unbound variable 'c'")] * 3),
+    ((), (), "exists x. E(x,y)", [0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("universe, true, text, outcomes", STOPPED_FAULTS)
+def test_a_fault_behind_a_stop_is_still_raised(universe, true, text, outcomes):
+    # The faults come after a literal or quantifier that settles the
+    # enclosing frame (E(a,a) = 0 stops a product, R(a) = 1 an absorptive
+    # sum), so only the full search would reach them.
+    handle = get_semiring("sorpinf")
+    pi = KInterpretation(handle, universe, {"E": 2, "P": 1, "R": 1},
+                         {(rel, args, True): handle.one for rel, args in true})
+    f = parse_formula(text)
+    evaluators = (fo_eval, partial(game_eval, player=0), partial(game_eval, player=1))
+    for evaluate, expected in zip(evaluators, outcomes):
+        if isinstance(expected, tuple):
+            with pytest.raises(expected[0]) as caught:
+                evaluate(pi, f)
+            assert str(caught.value) == expected[1]
+        else:
+            assert evaluate(pi, f) == (handle.one if expected else handle.zero)
+
+
 def test_game_agrees_with_direct_on_poslfp_corpus():
     rng = make_rng(salt=8)
     universe = ("a", "b")
@@ -1013,20 +1106,30 @@ class _CountingCompiler(_Compiler):
         return super().combine(op, parts)
 
 
-def test_each_key_is_compiled_once():
-    # 3 739 keys, the game's positions: 588 literals and 3 151 branches and
+def test_each_key_is_compiled_once(monkeypatch):
+    # The game has 3 739 positions: 588 literals and 3 151 branches and
     # quantifiers.  Compiling once per path made 8 835 compile calls, with
-    # 5 684 literal lookups.
+    # 5 684 literal lookups; compiling every key once, 588 lookups and
+    # 3 151 combines.  Stopping products at 0 and sums at 1 leaves 233 and
+    # 347.
     f = parse_formula("forall x. forall y. (!E(x,y) | exists z. (E(y,z) & !E(z,x)))")
     universe = tuple(f"u{i}" for i in range(14))
     rng = make_rng(salt=64)
     edges = {("E", (u, w), True): 1 for u in universe for w in rng.sample(universe, 2)}
     pi = _CountingInterpretation(BOOL, universe, {"E": 2}, edges, model_default=True)
     compiler = _CountingCompiler(pi, to_nnf(f), fixpoints=False)
+    keys = []  # (occurrence, values) of each key the search compiles
+    step = logic._Occurrence.step
+    monkeypatch.setattr(logic._Occurrence, "step",
+                        lambda occ, values, universe: keys.append((occ, values))
+                        or step(occ, values, universe))
     value = compiler.compile(0, ())[1]
+    monkeypatch.undo()
+    assert len(set(keys)) == len(keys)
+    literals = sum(occ.kind == "literal" for occ, _ in keys)
+    assert (pi.lookups, compiler.combined) == (literals, len(keys) - literals) == (233, 347)
     mc = build_mc_game(universe, to_nnf(f))
-    assert pi.lookups == len(mc.terminal_literals) == 588
-    assert compiler.combined + pi.lookups == len(mc.game.owners) == 3739
+    assert len(mc.terminal_literals) == 588 and len(mc.game.owners) == 3739
     assert value == game_eval(pi, f) == model_check(induced_structure(pi), f)
 
 
